@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race bench benchdiff fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short ci
+.PHONY: build vet staticcheck test race bench benchdiff e2e e2e-fleet fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short ci
 
 build:
 	$(GO) build ./...
@@ -25,11 +25,14 @@ test:
 # The packages where concurrency now exists (the experiments worker
 # pool, the shared planner cache, the dispatcher's lock-free switch
 # board, the retrying planner client, the control plane's replan
-# queue) or whose invariants those lean on.
+# queue, the fleet's lock-free headroom board) or whose invariants
+# those lean on — plus the live concurrent Place/Depart/Failover path
+# under the fleet oracle, which lives in internal/verify.
 race:
 	$(GO) test -race ./internal/experiments ./internal/sim ./internal/planner \
 		./internal/dispatch ./internal/faults ./internal/plannersvc ./internal/vmm \
 		./internal/trace ./internal/core ./internal/journal ./internal/fleet
+	$(GO) test -race -count=3 ./internal/verify -run 'TestLiveFleetUnderOracle'
 
 # Short fuzz smoke over the untrusted-input surfaces (the binary table
 # and trace decoders) and the whole generate→run→oracle pipeline. The
@@ -75,10 +78,13 @@ recover-short:
 	$(GO) test ./internal/experiments -run 'TestCrashChaosDeterminism' -v
 	$(GO) test ./internal/core -run 'TestJournal|TestRecover|TestClose|TestAttachJournal|TestEmergencyRollback'
 
-# Fleet placement gate: the arbiter's unit + protocol tests, the
-# fleet CSV determinism check (byte-identical across -parallel
-# settings, zero oracle violations, nonzero conflict-retry counts),
-# and the cross-host continuity oracle soak under -short.
+# Fleet placement gate: the arbiter's unit + protocol tests — among
+# them the headroom board's wall (TestPickMatchesFivePassReference,
+# TestBoardPublishedAtEveryTransition, TestLivePickAllocatesNothing)
+# and the duplicate-placement regression — the fleet CSV determinism
+# check (byte-identical across -parallel settings, zero oracle
+# violations, nonzero conflict-retry counts), and the cross-host
+# continuity oracle soak under -short.
 fleet-short:
 	$(GO) test ./internal/fleet
 	$(GO) test -short ./internal/experiments -run 'TestFleetDeterminism' -v
@@ -110,6 +116,15 @@ bench:
 		./internal/sim ./internal/planner ./internal/table ./internal/dispatch \
 		./internal/stats ./internal/netdev ./internal/periodic ./internal/trace \
 		./internal/experiments ./internal/core ./internal/fleet
+
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md):
+# all four workloads, about 95 s on 2 cores; e2e-fleet is the one a
+# fleet change is judged on, with the traced pass's per-layer metrics.
+e2e:
+	$(GO) run ./bench
+
+e2e-fleet:
+	$(GO) run ./bench -workload fleet-place-1k -trace
 
 # Quick perf-regression check against the committed BENCH_*.json
 # snapshot. Timings on shared/small machines are noisy, so the gate

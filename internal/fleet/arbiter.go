@@ -67,18 +67,21 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// Arbiter is the fleet's shared-state placement layer: N hosts, a
-// registry of which host holds which VM, and the optimistic
-// snapshot/commit/retry protocol placers run against the hosts.
+// Arbiter is the fleet's shared-state placement layer: N hosts, the
+// headroom board they publish to, a registry of which host holds which
+// VM, and the optimistic read/commit/retry protocol placers run
+// against the hosts.
 type Arbiter struct {
 	cfg    Config
 	hosts  []*Host
+	board  []cell // board[i] is hosts[i]'s published headroom
 	seqCtr atomic.Uint64
+	closed atomic.Bool
 
 	mu       sync.Mutex
-	closed   bool
 	vmHost   map[string]int
-	order    []string // live VM names, deterministic under deterministic traffic
+	placing  map[string]struct{} // names claimed by an in-flight Place/PlaceBatch
+	order    []string            // live VM names, deterministic under deterministic traffic
 	orderPos map[string]int
 	stats    Stats
 
@@ -104,17 +107,19 @@ func New(cfg Config) (*Arbiter, error) {
 	a := &Arbiter{
 		cfg:      cfg,
 		hosts:    make([]*Host, cfg.Hosts),
+		board:    make([]cell, cfg.Hosts),
 		vmHost:   make(map[string]int),
+		placing:  make(map[string]struct{}),
 		orderPos: make(map[string]int),
 	}
+	// Hosts are carved from one slab in id order, so a sweep through
+	// Hosts() (Snapshot of every host, say) walks memory forward instead
+	// of chasing a thousand separately allocated structs.
+	slab := make([]Host, cfg.Hosts)
 	err := a.forEach(cfg.Hosts, func(i int) error {
-		h, err := newHost(i, cfg.Cores, cfg.SlotsPerHost, cfg.Cache, a.nextSeq,
-			i >= cfg.Hosts-cfg.SpareHosts, cfg.Journal)
-		if err != nil {
-			return err
-		}
-		a.hosts[i] = h
-		return nil
+		a.hosts[i] = &slab[i]
+		return initHost(&slab[i], i, cfg.Cores, cfg.SlotsPerHost, cfg.Cache, a.nextSeq,
+			i >= cfg.Hosts-cfg.SpareHosts, cfg.Journal, &a.board[i])
 	})
 	if err != nil {
 		return nil, err
@@ -134,12 +139,6 @@ func (a *Arbiter) forEach(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-func (a *Arbiter) isClosed() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.closed
 }
 
 // Hosts returns the fleet's hosts in id order.
@@ -193,13 +192,9 @@ func (a *Arbiter) ControllerTotals() core.Stats {
 // ErrClosed (or a per-VM controller-closed reject they retry into
 // Unplaced).
 func (a *Arbiter) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
+	if !a.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	a.closed = true
-	a.mu.Unlock()
 	var first error
 	for _, h := range a.hosts {
 		if err := h.Close(); err != nil && first == nil {
@@ -232,107 +227,31 @@ func (a *Arbiter) ArmCrashes(plan faults.HostCrashPlan) (int, error) {
 	return armed, nil
 }
 
-func (a *Arbiter) snapshotAll() []Snapshot {
-	snaps := make([]Snapshot, len(a.hosts))
-	for i, h := range a.hosts {
-		snaps[i] = h.Snapshot()
-	}
-	return snaps
-}
-
-// hostView is a placer's private, virtually-decremented copy of the
-// advisory headroom.
-type hostView struct {
-	freeSlots int
-	freePPM   int64
-	up        bool
-	spare     bool
-}
-
-func viewsOf(snaps []Snapshot) []hostView {
-	views := make([]hostView, len(snaps))
-	for i, s := range snaps {
-		views[i] = hostView{
-			freeSlots: s.FreeSlots, freePPM: s.FreePPM,
-			up: s.State == HostUp, spare: s.Spare,
-		}
-	}
-	return views
-}
-
 // pend is one VM still looking for a host.
 type pend struct {
 	vm       VM
 	attempts int
-	spareOK  bool // rejected somewhere: eligible for the spare pool
-	banned   map[int]bool
-	host     int // placed host (-1 until placed)
+	spareOK  bool  // rejected somewhere: eligible for the spare pool
+	banned   []int // hosts that rejected it or were down (<= MaxAttempts)
+	host     int   // placed host (-1 until placed)
 }
 
 func newPend(vm VM) *pend { return &pend{vm: vm, host: -1} }
 
 func (p *pend) ban(host int) {
-	if p.banned == nil {
-		p.banned = make(map[int]bool)
-	}
-	p.banned[host] = true
+	p.banned = append(p.banned, host)
 	p.spareOK = true
 }
 
-// pickHost chooses a target host from the placer's view, worst-fit
-// (most free reserved headroom, ties to the lowest id) so load spreads:
-//  1. home-partition regular hosts the headroom says fit,
-//  2. any regular host that fits (the cross-partition fallback — where
-//     placers meet and conflicts happen),
-//  3. the spare pool, for VMs already rejected somewhere,
-//  4. the pressure valve: the emptiest unbanned host even though the
-//     advisory headroom says it won't fit — the host's admission check
-//     is the authoritative gate, and near-full fleets must probe it
-//     rather than give up on an estimate.
-//
-// Only Up hosts are eligible; down and dead hosts take no traffic.
-// Returns -1 when no unbanned host has a free slot.
-func (a *Arbiter) pickHost(views []hostView, pd *pend, placer int) int {
-	need := pd.vm.ppm()
-	pick := func(spare, homeOnly, mustFit bool) int {
-		best, bestFree := -1, int64(-1)
-		for h := range views {
-			v := &views[h]
-			if !v.up || v.spare != spare || v.freeSlots <= 0 || pd.banned[h] {
-				continue
-			}
-			if homeOnly && h%a.cfg.Placers != placer {
-				continue
-			}
-			if mustFit && v.freePPM < need {
-				continue
-			}
-			if v.freePPM > bestFree {
-				best, bestFree = h, v.freePPM
-			}
-		}
-		return best
+// freeze copies the board into one slice of views: the round-start
+// state every placer of a PlaceBatch round decides from and every
+// commit of the round names the version of.
+func (a *Arbiter) freeze() []hostView {
+	views := make([]hostView, len(a.board))
+	for i := range a.board {
+		views[i] = a.board[i].view()
 	}
-	if h := pick(false, true, true); h >= 0 {
-		return h
-	}
-	if h := pick(false, false, true); h >= 0 {
-		return h
-	}
-	if pd.spareOK {
-		if h := pick(true, false, true); h >= 0 {
-			return h
-		}
-	}
-	if h := pick(false, false, false); h >= 0 {
-		return h
-	}
-	if pd.spareOK {
-		if h := pick(true, false, false); h >= 0 {
-			return h
-		}
-	}
-	return -1
+	return views
 }
 
 // placeWork drives pends through the optimistic placement protocol
@@ -344,8 +263,7 @@ func (a *Arbiter) pickHost(views []hostView, pd *pend, placer int) int {
 func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 	var bs Stats
 	for len(work) > 0 {
-		snaps := a.snapshotAll()
-		base := viewsOf(snaps)
+		base := a.freeze()
 
 		parts := make([][]*pend, a.cfg.Placers)
 		for _, pd := range work {
@@ -358,13 +276,12 @@ func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 		}
 		decisions := make([][]decision, a.cfg.Placers)
 		_ = a.forEach(a.cfg.Placers, func(p int) error {
-			view := append([]hostView(nil), base...)
+			view := headroom{cells: a.board, frozen: base}
 			for _, pd := range parts[p] {
-				h := a.pickHost(view, pd, p)
+				h, _ := pick(&view, pd, p, a.cfg.Placers)
 				decisions[p] = append(decisions[p], decision{pd, h})
 				if h >= 0 {
-					view[h].freeSlots--
-					view[h].freePPM -= pd.vm.ppm()
+					view.take(h, pd.vm)
 				}
 			}
 			return nil
@@ -410,7 +327,7 @@ func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 				for j, pd := range b.pends {
 					batch[j] = pd.vm
 				}
-				res, err := a.hosts[h].CommitPlacements(snaps[h].Version, batch)
+				res, err := a.hosts[h].CommitPlacements(base[h].version, batch)
 				switch {
 				case errors.Is(err, ErrConflict):
 					b.conflict = true
@@ -469,7 +386,7 @@ func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 				for _, pd := range b.pends {
 					if placed[pd.vm.Name] {
 						bs.Placed++
-						if snaps[h].Spare {
+						if base[h].spare() {
 							bs.SparePlacements++
 						}
 						pd.host = h
@@ -503,31 +420,41 @@ func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 }
 
 // PlaceBatch places a batch of VMs through the optimistic protocol,
-// deterministically at any parallelism. Each round freezes one
-// snapshot of every host, partitions the still-unplaced VMs across the
-// placers (fanned out via Config.ForEach), and lets every placer pick
-// targets against its own virtually-decremented view; then the chosen
-// placements commit per host, placer-ordered. The first committer on a
-// host wins; later placers' batches named the round-start version, so
-// they lose with ErrConflict and retry next round against a fresh
-// snapshot — the same protocol concurrent placers run, with the race
-// made reproducible. Rejected VMs ban the host, gain spare-pool
-// eligibility, and retry; MaxAttempts bounds every retry path.
+// deterministically at any parallelism. Each round freezes the board
+// once, partitions the still-unplaced VMs across the placers (fanned
+// out via Config.ForEach), and lets every placer pick targets against
+// that one frozen copy under its own virtual decrements; then the
+// chosen placements commit per host, placer-ordered. The first
+// committer on a host wins; later placers' batches named the
+// round-start version, so they lose with ErrConflict and retry next
+// round against a fresh freeze — the same protocol concurrent placers
+// run, with the race made reproducible. Rejected VMs ban the host, gain
+// spare-pool eligibility, and retry; MaxAttempts bounds every retry
+// path. A batch naming a VM that is already live (or twice) is refused
+// whole with ErrDuplicate.
 func (a *Arbiter) PlaceBatch(vms []VM) (Stats, error) {
-	if a.isClosed() {
+	if a.closed.Load() {
 		return Stats{}, ErrClosed
+	}
+	if err := a.claim(vms); err != nil {
+		return Stats{}, err
 	}
 	work := make([]*pend, len(vms))
 	for i, vm := range vms {
 		work[i] = newPend(vm)
 	}
 	bs, err := a.placeWork(work)
+	a.mu.Lock()
+	for _, vm := range vms {
+		delete(a.placing, vm.Name)
+	}
+	if err == nil {
+		a.stats.add(bs)
+	}
+	a.mu.Unlock()
 	if err != nil {
 		return bs, err
 	}
-	a.mu.Lock()
-	a.stats.add(bs)
-	a.mu.Unlock()
 	if a.UnsafeDoublePlace {
 		for _, pd := range work {
 			if pd.host >= 0 {
@@ -537,6 +464,30 @@ func (a *Arbiter) PlaceBatch(vms []VM) (Stats, error) {
 		}
 	}
 	return bs, nil
+}
+
+// claim reserves every name for an in-flight placement, or none. A name
+// that is already live, is being placed by another call, or repeats
+// within vms fails the whole call with ErrDuplicate (counted) before
+// any host is touched: hosts only know their own guests, so "live on at
+// most one host" is the registry's to enforce. The caller releases the
+// claim in the critical section that records the outcome.
+func (a *Arbiter) claim(vms []VM) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i, vm := range vms {
+		_, live := a.vmHost[vm.Name]
+		_, busy := a.placing[vm.Name]
+		if live || busy {
+			for _, undo := range vms[:i] {
+				delete(a.placing, undo.Name)
+			}
+			a.stats.Duplicates++
+			return fmt.Errorf("fleet: placement of %q: %w", vm.Name, ErrDuplicate)
+		}
+		a.placing[vm.Name] = struct{}{}
+	}
+	return nil
 }
 
 // doublePlace implements the UnsafeDoublePlace defect: commit vm to a
@@ -565,7 +516,7 @@ func (a *Arbiter) doublePlace(vm VM, not int) {
 // registered (removing them without a host commit would fork the
 // ledger from the registry) until Failover resolves the host.
 func (a *Arbiter) DepartBatch(names []string) (Stats, error) {
-	if a.isClosed() {
+	if a.closed.Load() {
 		return Stats{}, ErrClosed
 	}
 	var bs Stats
@@ -643,7 +594,7 @@ func (a *Arbiter) DepartBatch(names []string) (Stats, error) {
 // shed, or explicitly lost. The sweep loops until no host is down, so
 // hosts crashed by the evacuation traffic itself are resolved too.
 func (a *Arbiter) Failover() (Stats, error) {
-	if a.isClosed() {
+	if a.closed.Load() {
 		return Stats{}, ErrClosed
 	}
 	var bs Stats
@@ -763,71 +714,79 @@ func (a *Arbiter) promoteSpare() {
 	}
 }
 
-// Place runs one VM through the live optimistic protocol: snapshot,
-// pick, commit, and on conflict or reject refresh and retry, up to
-// MaxAttempts. Unlike PlaceBatch this races genuinely against other
-// goroutines — it is the arbiter's concurrent API (and what the -race
-// stress tests hammer). Returns the placed host.
+// Place runs one VM through the live optimistic protocol: pick from the
+// board, commit against the version the pick read, and on conflict or
+// reject read again and retry, up to MaxAttempts. Unlike PlaceBatch
+// this races genuinely against other goroutines — it is the arbiter's
+// concurrent API (and what the -race stress tests hammer). A pick takes
+// no lock and allocates nothing; the registry lock is taken twice, to
+// claim the name and to record the outcome with its counters. Returns
+// the placed host.
 func (a *Arbiter) Place(vm VM) (int, error) {
-	if a.isClosed() {
+	if a.closed.Load() {
 		return -1, ErrClosed
 	}
-	pd := newPend(vm)
+	batch := []VM{vm}
+	if err := a.claim(batch); err != nil {
+		return -1, err
+	}
+	pd := pend{vm: vm, host: -1}
 	p := partition(vm.Name, a.cfg.Placers)
+	live := headroom{cells: a.board}
 	var bs Stats
-	defer func() {
-		a.mu.Lock()
-		a.stats.add(bs)
-		a.mu.Unlock()
-	}()
+	var shed []string
+	var fail error
 	for pd.attempts < a.cfg.MaxAttempts {
-		snaps := a.snapshotAll()
-		h := a.pickHost(viewsOf(snaps), pd, p)
+		h, view := pick(&live, &pd, p, a.cfg.Placers)
 		if h < 0 {
 			break
 		}
-		res, err := a.hosts[h].CommitPlacements(snaps[h].Version, []VM{vm})
+		res, err := a.hosts[h].CommitPlacements(view.version, batch)
 		if errors.Is(err, ErrConflict) || errors.Is(err, ErrHostDown) {
 			bs.Conflicts++
 			if errors.Is(err, ErrHostDown) {
 				pd.ban(h)
 			}
-			pd.attempts++
-			if pd.attempts < a.cfg.MaxAttempts {
-				bs.Retries++
-			}
-			continue
-		}
-		if err != nil {
-			return -1, err
-		}
-		if len(res.Placed) == 1 {
+		} else if err != nil {
+			fail = err
+			break
+		} else if len(res.Placed) == 1 {
 			bs.Placed++
-			if snaps[h].Spare {
+			if view.spare() {
 				bs.SparePlacements++
 			}
-			a.mu.Lock()
-			a.recordPlacedLocked(vm.Name, h)
-			for _, name := range res.Shed {
-				a.removePlacedLocked(name)
-				bs.Shed++
-			}
-			a.mu.Unlock()
-			return h, nil
-		}
-		if res.Rejects[0].NoSlot {
-			bs.SlotRejects++
+			pd.host, shed = h, res.Shed
+			break
 		} else {
-			bs.AdmissionRejects++
+			if res.Rejects[0].NoSlot {
+				bs.SlotRejects++
+			} else {
+				bs.AdmissionRejects++
+			}
+			pd.ban(h)
 		}
-		pd.ban(h)
 		pd.attempts++
 		if pd.attempts < a.cfg.MaxAttempts {
 			bs.Retries++
 		}
 	}
-	bs.Unplaced++
-	return -1, ErrUnplaced
+
+	a.mu.Lock()
+	delete(a.placing, vm.Name)
+	switch {
+	case pd.host >= 0:
+		a.recordPlacedLocked(vm.Name, pd.host)
+		for _, name := range shed {
+			a.removePlacedLocked(name)
+			bs.Shed++
+		}
+	case fail == nil:
+		bs.Unplaced++
+		fail = ErrUnplaced
+	}
+	a.stats.add(bs)
+	a.mu.Unlock()
+	return pd.host, fail
 }
 
 // Depart tears one VM down through the live protocol, retrying commits
@@ -835,7 +794,7 @@ func (a *Arbiter) Place(vm VM) (int, error) {
 // whose owning host is down is deferred (counted, ErrHostDown): the VM
 // stays registered until Failover resolves the host.
 func (a *Arbiter) Depart(name string) error {
-	if a.isClosed() {
+	if a.closed.Load() {
 		return ErrClosed
 	}
 	a.mu.Lock()

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tableau/internal/faults"
@@ -14,12 +15,27 @@ import (
 // placements/sec), with the conflict-retry rate reported alongside:
 // each iteration places one eighth-core VM and departs the oldest of
 // the 200 in flight, so the fleet sits at a realistic occupancy while
-// snapshots, commits, and the occasional shed-retry all stay on the
+// board reads, commits, and the occasional shed-retry all stay on the
 // hot path. Host ledgers grow with every commit, so a single
 // long-lived fleet would make B/op drift with b.N; the fleet is
 // rebuilt outside the timer every few thousand iterations to keep the
 // measurement stationary.
-func BenchmarkFleetPlace(b *testing.B) {
+func BenchmarkFleetPlace(b *testing.B) { benchFleetPlace(b, 32) }
+
+// BenchmarkFleetPlaceScaling is BenchmarkFleetPlace at fleet sizes
+// where O(hosts) work per placement would show — the 32-host sibling is
+// blind to it. Fill ratio (6.25 VMs per host) and spare share (1/16)
+// are the sibling's, so the three sizes differ in host count alone:
+// with the home partition strided on the headroom board, ns/op and
+// B/op should be nearly flat from 256 to 4000 hosts (DESIGN.md §12
+// records the before/after).
+func BenchmarkFleetPlaceScaling(b *testing.B) {
+	for _, hosts := range []int{256, 1000, 4000} {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) { benchFleetPlace(b, hosts) })
+	}
+}
+
+func benchFleetPlace(b *testing.B, hosts int) {
 	cache := planner.NewCache(4096)
 	vm := func(name string) VM {
 		return VM{Name: name, Util: planner.Util{Num: 1, Den: 8}, LatencyGoal: 20_000_000}
@@ -37,20 +53,24 @@ func BenchmarkFleetPlace(b *testing.B) {
 		}
 		var err error
 		a, err = New(Config{
-			Hosts: 32, Cores: 8, Placers: 8, SpareHosts: 2, MaxAttempts: 4,
+			Hosts: hosts, Cores: 8, Placers: 8, SpareHosts: hosts / 16, MaxAttempts: 4,
 			Cache: cache,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		live = live[:0]
-		for j := 0; j < 200; j++ {
+		for j := 0; j < hosts*25/4; j++ {
 			name := fmt.Sprintf("w%d-%d", gen, j)
 			if _, err := a.Place(vm(name)); err != nil {
 				b.Fatal(err)
 			}
 			live = append(live, name)
 		}
+		// Collect the previous fleet now: at 4000 hosts it is a gigabyte,
+		// and a cycle marking that inside the timed loop would be the
+		// whole measurement.
+		runtime.GC()
 	}
 	rebuild(0)
 	defer func() { _ = a.Close() }()

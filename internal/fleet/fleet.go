@@ -4,33 +4,53 @@
 // core.Controller.
 //
 // The concurrency model is optimistic, in the style of shared-state
-// cluster schedulers: placers work from versioned per-host snapshots
-// (the version is the host's committed Epoch.Version), decide a target
-// host from the snapshot's advisory headroom, and try to commit by
-// submitting the placement batch to the target host's Controller and
-// flushing it. The host checks the expected version under its lock —
-// a concurrent commit that raced on the same host finds the version
-// moved, loses with ErrConflict, refreshes its snapshot, and retries
-// (bounded by Config.MaxAttempts, with conflict counters).
+// cluster schedulers, and the shared state is a headroom board: one
+// fixed-size cell of atomics per host — committed version (the host's
+// Epoch.Version), free slots, unreserved utilization, failure state,
+// pool — in one dense, pointer-free slice owned by the Arbiter.
 //
-// Snapshot headroom is advisory; the host's admission check (the
-// planner's exact utilization test inside Controller.Flush) is the
-// authoritative gate. A placement the snapshot thought would fit can
-// still be rejected at the host, in which case the placer bans that
-// host for the VM, becomes eligible for the spare-host pool, and
-// retries elsewhere — the shed-retry path of the fleet.
+// Who writes a cell, and when: only the owning Host, while it holds its
+// own lock, as the last act of every method that can change one of the
+// published fields — CommitPlacements in all its outcomes (placed,
+// rejected, rolled back, shed, crashed to Down), CommitDepartures,
+// Recover, markDead, promote, and construction. So whatever a lock
+// holder could have observed, the board shows by the time the lock is
+// free.
+//
+// Why readers need no lock: a placer scans cells in place — the home
+// partition first, by stride, then at most one sweep of the whole board
+// (pick) — picks a host, and commits by submitting the placement batch
+// to that host's Controller and flushing it, naming the version it
+// read. The host checks that version under its lock: a concurrent
+// commit that raced on the same host finds the version moved, loses
+// with ErrConflict, reads the board again, and retries (bounded by
+// Config.MaxAttempts, with conflict counters). A cell's three words are
+// not read atomically as a group, and need not be: the writer stores
+// headroom before version and readers load version before headroom, so
+// a reader's headroom is never older than its version — a commit that
+// passes the version check was decided on current headroom — and even
+// a decision from a torn or stale cell can only lose and retry, because
+// headroom is advisory; the host's admission check (the planner's exact
+// utilization test inside Controller.Flush) is the authoritative gate.
+// A placement the board thought would fit can still be rejected at the
+// host, in which case the placer bans that host for the VM, becomes
+// eligible for the spare-host pool, and retries elsewhere — the
+// shed-retry path of the fleet.
 //
 // Arrivals are hash-partitioned across P placers by VM name, and each
 // placer prefers hosts of its home partition (host%P == placer), so
 // same-host contention is rare but exercised: the cross-partition
 // fallback and the spare pool are exactly where two placers meet on
-// one host and one of them must retry.
+// one host and one of them must retry. There is deliberately no
+// ordered or bucketed index over the board: worst-fit needs the
+// roomiest of hosts/P cells, a scan of plain words that costs about a
+// microsecond at 1000 hosts — less than keeping an index current on
+// every commit would.
 package fleet
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"tableau/internal/core"
 	"tableau/internal/planner"
@@ -92,9 +112,10 @@ func (s HostState) String() string {
 	return fmt.Sprintf("state-%d", int(s))
 }
 
-// Snapshot is one placer's view of a host: the committed epoch version
-// plus advisory headroom. A commit against the host names the version
-// it read; if the host has moved on, the commit loses with ErrConflict.
+// Snapshot is a host's published board cell, decoded: the committed
+// epoch version plus advisory headroom. A commit against the host names
+// the version it read; if the host has moved on, the commit loses with
+// ErrConflict.
 type Snapshot struct {
 	Host    int
 	Version uint64
@@ -121,6 +142,11 @@ var ErrConflict = errors.New("fleet: stale snapshot: host epoch moved")
 // ErrUnplaced reports that a VM exhausted its placement attempts (or no
 // host had a free slot at all).
 var ErrUnplaced = errors.New("fleet: no host could place the VM")
+
+// ErrDuplicate reports a placement of a name that is already live (or
+// already being placed): a VM may be live on at most one host, so the
+// arbiter refuses before touching any host.
+var ErrDuplicate = errors.New("fleet: VM is already placed")
 
 // ErrHostDown reports a commit against a host whose journal has
 // crashed (either this commit hit the crash point or the host was
@@ -165,6 +191,8 @@ type Stats struct {
 	// was down — the VM stays registered until recovery or evacuation
 	// resolves it.
 	DepartsDeferred int64
+	// Duplicates counts Place/PlaceBatch calls refused with ErrDuplicate.
+	Duplicates int64
 }
 
 // add accumulates o into s.
@@ -185,6 +213,7 @@ func (s *Stats) add(o Stats) {
 	s.EvacSheds += o.EvacSheds
 	s.Lost += o.Lost
 	s.DepartsDeferred += o.DepartsDeferred
+	s.Duplicates += o.Duplicates
 }
 
 // Commit is one committed host transition in the fleet's ledger: the
@@ -202,9 +231,9 @@ func (s *Stats) add(o Stats) {
 // and "evacuate" is a dead host's displacement record. Seam entries
 // participate in the same Seq total order.
 type Commit struct {
-	Seq     uint64
-	Version uint64 // installed epoch (0: every op was rejected)
-	Placed  []string
+	Seq      uint64
+	Version  uint64 // installed epoch (0: every op was rejected)
+	Placed   []string
 	Departed []string
 	// Shed names the best-effort VMs this commit deactivated to admit
 	// an LS placement — departures the host initiated, matched by
@@ -235,9 +264,14 @@ type Commit struct {
 	EvacLS, EvacBE, Lost []string
 }
 
-// partition returns the placer partition a VM name hashes to.
+// partition returns the placer partition a VM name hashes to: 32-bit
+// FNV-1a over the name's bytes (hash/fnv's New32a, inlined so a
+// placement allocates neither a hasher nor a byte slice).
 func partition(name string, placers int) int {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return int(h.Sum32() % uint32(placers))
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h ^= uint32(name[i])
+		h *= 16777619
+	}
+	return int(h % uint32(placers))
 }

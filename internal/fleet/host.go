@@ -35,6 +35,12 @@ func (nullSink) PushTable(*table.Table) error { return nil }
 // the arbiter's optimistic protocol needs — a committed version, free
 // slots, reserved utilization, and a ledger of committed transitions.
 //
+// The placement-relevant part of that metadata — version, headroom,
+// state, pool — is mirrored into the host's cell on the arbiter's
+// board before the lock is released at every transition that changes
+// it (unlockPublished), which is what lets Snapshot, State and Spare
+// answer without the lock.
+//
 // Slot ids are fixed at host construction (vCPU ids are fixed at
 // machine start); fleet-level VM identity lives in the name<->slot
 // maps here, because slots are recycled across guest generations.
@@ -48,6 +54,7 @@ func (nullSink) PushTable(*table.Table) error { return nil }
 // image (or evacuates it when there is none).
 type Host struct {
 	id    int
+	cell  *cell // this host's entry on the arbiter's headroom board
 	cores int
 	seq   func() uint64
 	cache *planner.Cache
@@ -67,40 +74,43 @@ type Host struct {
 	vmSlot    map[string]int
 }
 
-func newHost(id, cores, slots int, cache *planner.Cache, seq func() uint64, spare, journaled bool) (*Host, error) {
+// initHost builds host id in place (the arbiter carves its hosts from
+// one slab) and publishes its first cell to c.
+func initHost(h *Host, id, cores, slots int, cache *planner.Cache, seq func() uint64, spare, journaled bool, c *cell) error {
 	if slots < 2 {
-		return nil, fmt.Errorf("fleet: host %d needs at least 2 slots (1 resident + 1 guest), got %d", id, slots)
+		return fmt.Errorf("fleet: host %d needs at least 2 slots (1 resident + 1 guest), got %d", id, slots)
 	}
 	sys := core.NewSystem(cores, planner.Options{}, dispatch.Options{})
 	sys.Cache = cache
 	if _, err := sys.AddVM(core.VMConfig{
 		Name: residentName, Util: residentUtil, LatencyGoal: residentGoal, Capped: true,
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	for s := 1; s < slots; s++ {
 		if _, err := sys.AddVM(core.VMConfig{
 			Name: fmt.Sprintf("s%d", s), Util: residentUtil, LatencyGoal: residentGoal, Capped: true,
 		}); err != nil {
-			return nil, err
+			return err
 		}
 		if err := sys.SetActive(s, false); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	_, res, err := sys.Plan()
 	if err != nil {
-		return nil, fmt.Errorf("fleet: host %d initial plan: %w", id, err)
+		return fmt.Errorf("fleet: host %d initial plan: %w", id, err)
 	}
 	ctrl, err := core.NewController(sys, nullSink{}, res)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	h := &Host{
+	*h = Host{
 		id:        id,
 		cores:     cores,
 		seq:       seq,
 		cache:     cache,
+		cell:      c,
 		sys:       sys,
 		ctrl:      ctrl,
 		spare:     spare,
@@ -114,7 +124,7 @@ func newHost(id, cores, slots int, cache *planner.Cache, seq func() uint64, spar
 		// crash store passes every append through until a storm arms it.
 		cs := faults.NewIdleCrashStore(journal.NewMemStore())
 		if err := ctrl.AttachJournal(journal.NewWriter(cs)); err != nil {
-			return nil, fmt.Errorf("fleet: host %d journal baseline: %w", id, err)
+			return fmt.Errorf("fleet: host %d journal baseline: %w", id, err)
 		}
 		h.journal = cs
 	}
@@ -123,31 +133,44 @@ func newHost(id, cores, slots int, cache *planner.Cache, seq func() uint64, spar
 	for s := slots - 1; s >= 1; s-- {
 		h.free = append(h.free, s)
 	}
-	return h, nil
+	h.publishLocked() // not yet shared: no lock needed
+	return nil
+}
+
+// publishLocked mirrors the lock-protected placement metadata into the
+// host's board cell. Headroom goes first and the version last, and
+// readers load them in the opposite order, so a reader's headroom is
+// never older than the version it pairs it with.
+func (h *Host) publishLocked() {
+	h.cell.freePPM.Store(int64(h.cores)*1_000_000 - h.usedPPM)
+	h.cell.meta.Store(packMeta(len(h.free), h.state, h.spare))
+	h.cell.version.Store(h.version)
+}
+
+// unlockPublished ends every method that can change the version, the
+// headroom, the state or the pool: publish, then release the lock, so
+// the board never lags a transition a lock holder could have seen.
+func (h *Host) unlockPublished() {
+	h.publishLocked()
+	h.mu.Unlock()
 }
 
 // ID returns the host's fleet-wide id.
 func (h *Host) ID() int { return h.id }
 
-// State returns the host's failure-lifecycle state.
-func (h *Host) State() HostState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
+// State returns the host's failure-lifecycle state (a lock-free read
+// of the published cell).
+func (h *Host) State() HostState { return metaState(h.cell.meta.Load()) }
 
-// Spare reports whether the host is in the spare pool.
-func (h *Host) Spare() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.spare
-}
+// Spare reports whether the host is in the spare pool (a lock-free read
+// of the published cell).
+func (h *Host) Spare() bool { return h.cell.meta.Load()&metaSpare != 0 }
 
 // promote moves a spare host into the regular pool (a dead regular
 // host's replacement).
 func (h *Host) promote() {
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.unlockPublished()
 	h.spare = false
 }
 
@@ -165,17 +188,18 @@ func (h *Host) Arm(plan faults.CrashPlan) error {
 	return h.journal.Arm(plan)
 }
 
-// Snapshot returns the host's committed version and advisory headroom.
+// Snapshot returns the host's committed version and advisory headroom
+// as last published — a lock-free read of the host's board cell, small
+// enough to inline (a fleet-wide sweep is a few nanoseconds per host).
 func (h *Host) Snapshot() Snapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	v := h.cell.view()
 	return Snapshot{
 		Host:      h.id,
-		Version:   h.version,
-		FreeSlots: len(h.free),
-		FreePPM:   int64(h.cores)*1_000_000 - h.usedPPM,
-		State:     h.state,
-		Spare:     h.spare,
+		Version:   v.version,
+		FreeSlots: int(v.meta >> metaSlotShift),
+		FreePPM:   v.freePPM,
+		State:     metaState(v.meta),
+		Spare:     v.meta&metaSpare != 0,
 	}
 }
 
@@ -249,7 +273,7 @@ func (h *Host) markDownLocked() {
 // host (ErrHostDown) is an error.
 func (h *Host) CommitPlacements(expect uint64, vms []VM) (CommitResult, error) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.unlockPublished()
 	if h.state != HostUp {
 		return CommitResult{Version: h.version}, ErrHostDown
 	}
@@ -370,7 +394,7 @@ func (h *Host) CommitPlacements(expect uint64, vms []VM) (CommitResult, error) {
 // is returned as a real error.
 func (h *Host) CommitDepartures(expect uint64, names []string) (CommitResult, error) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.unlockPublished()
 	if h.state != HostUp {
 		return CommitResult{Version: h.version}, ErrHostDown
 	}
@@ -444,7 +468,7 @@ func (h *Host) CommitDepartures(expect uint64, names []string) (CommitResult, er
 // falls back to evacuation).
 func (h *Host) Recover() ([]string, error) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.unlockPublished()
 	if h.state != HostDown {
 		return nil, fmt.Errorf("fleet: host %d is %s, not down", h.id, h.state)
 	}
@@ -558,7 +582,7 @@ func (h *Host) recoverLocked() ([]string, error) {
 // via finishEvacuate.
 func (h *Host) markDead() error {
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.unlockPublished()
 	if h.state != HostDown {
 		return fmt.Errorf("fleet: host %d is %s, not down", h.id, h.state)
 	}
