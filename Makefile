@@ -2,13 +2,17 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race bench benchdiff e2e e2e-fleet fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short ci
+.PHONY: build vet fmt staticcheck test race bench e2e e2e-fleet fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file needs formatting; `gofmt -l .` names them.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # staticcheck is optional tooling: run it when the host has it, stay
 # green when it does not (CI images do not install it).
@@ -126,17 +130,4 @@ e2e:
 e2e-fleet:
 	$(GO) run ./bench -workload fleet-place-1k -trace
 
-# Quick perf-regression check against the committed BENCH_*.json
-# snapshot. Timings on shared/small machines are noisy, so the gate
-# tolerance is generous; allocation metrics get only a small
-# amortization slack, and a zero-alloc path gaining any alloc fails.
-# Regenerate the committed snapshot with: go run ./cmd/benchdiff
-# -count 3 keeps the best of three runs on both sides of the compare
-# (the committed snapshot is generated the same way), so one slow
-# scheduler tick on a tiny nanosecond-scale benchmark doesn't fail
-# the gate.
-benchdiff:
-	$(GO) run ./cmd/benchdiff -count 3 -tolerance 40 -gate \
-		-out /tmp/tableau-benchdiff -against $$(ls BENCH_*.json | tail -1)
-
-ci: vet staticcheck build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short fuzz benchdiff
+ci: vet fmt staticcheck build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short fuzz

@@ -223,9 +223,9 @@ func cmdSummarize(out io.Writer, args []string) {
 
 	fmt.Fprintf(out, "counters: %d ctxswitch, %d tableswitch, %d plannercall, %d fault\n",
 		m.ContextSwitches, m.TableSwitches, m.PlannerCalls, m.FaultsInjected)
-	if n := m.PlansScratch + m.PlansCached + m.PlansIncremental + m.PlansSpeculative; n > 0 {
-		fmt.Fprintf(out, "plans:    %d scratch, %d cached, %d incremental, %d speculative, %d cores pinned\n",
-			m.PlansScratch, m.PlansCached, m.PlansIncremental, m.PlansSpeculative, m.PinnedCores)
+	if n := m.PlansScratch + m.PlansCached + m.PlansIncremental; n > 0 {
+		fmt.Fprintf(out, "plans:    %d scratch, %d cached, %d incremental, %d cores pinned\n",
+			m.PlansScratch, m.PlansCached, m.PlansIncremental, m.PinnedCores)
 	}
 	fmt.Fprintf(out, "ipis:     %d sent, %d dropped, %d delayed\n\n",
 		m.IPIsSent, m.IPIsDropped, m.IPIsDelayed)

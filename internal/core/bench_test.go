@@ -21,7 +21,7 @@ func (benchSink) PushTable(*table.Table) error { return nil }
 // utilization with heterogeneous latency goals (5/10/20 ms, the
 // paper's tiered-SLA shape), with every slot resident so churn batches
 // can toggle the tail of the population.
-func stormRig(b *testing.B, fast bool, speculate int) (*System, *Controller) {
+func stormRig(b *testing.B, fast bool) (*System, *Controller) {
 	b.Helper()
 	s := NewSystem(16, planner.Options{}, dispatch.Options{})
 	if fast {
@@ -44,7 +44,6 @@ func stormRig(b *testing.B, fast bool, speculate int) (*System, *Controller) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctrl.SpeculateNext = speculate
 	// Epochs retain a full table plus its wire encoding; unbounded
 	// history would grow the live heap (and the GC tail) with b.N,
 	// making measured latency depend on iteration count. Bound it the
@@ -74,36 +73,25 @@ func reportPercentiles(b *testing.B, lats []time.Duration) {
 //   - scratch: the full planner runs for every batch (the baseline the
 //     acceptance criterion compares against);
 //   - incremental: the 13 untouched cores are pinned and their slice
-//     tables reused, only the dirty remainder is re-synthesized;
-//   - speculative: single-slot toggles whose next population the
-//     controller pre-planned in the background, so the measured flush
-//     commits a precomputed epoch in install time.
+//     tables reused, only the dirty remainder is re-synthesized.
 func BenchmarkReplanStorm(b *testing.B) {
-	churn3 := [][]Op{
+	batches := [][]Op{
 		{{Kind: OpDeactivate, Slot: 189}, {Kind: OpDeactivate, Slot: 190}, {Kind: OpDeactivate, Slot: 191}},
 		{{Kind: OpActivate, Slot: 189}, {Kind: OpActivate, Slot: 190}, {Kind: OpActivate, Slot: 191}},
 	}
-	toggle1 := [][]Op{
-		{{Kind: OpDeactivate, Slot: 191}},
-		{{Kind: OpActivate, Slot: 191}},
-	}
 	for _, tc := range []struct {
-		name      string
-		fast      bool
-		speculate int
-		batches   [][]Op
+		name string
+		fast bool
 	}{
-		{"mode=scratch", false, 0, churn3},
-		{"mode=incremental", true, 0, churn3},
-		{"mode=speculative", true, 2, toggle1},
+		{"mode=scratch", false},
+		{"mode=incremental", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			_, ctrl := stormRig(b, tc.fast, tc.speculate)
-			ctrl.SpeculateAsync = tc.speculate > 0
+			_, ctrl := stormRig(b, tc.fast)
 			lats := make([]time.Duration, 0, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ctrl.SubmitBatch(tc.batches[i%len(tc.batches)])
+				ctrl.SubmitBatch(batches[i%len(batches)])
 				start := time.Now()
 				tr, err := ctrl.Flush()
 				lat := time.Since(start)
@@ -114,10 +102,6 @@ func BenchmarkReplanStorm(b *testing.B) {
 					b.Fatalf("batch %d did not commit: %+v", i, tr)
 				}
 				lats = append(lats, lat)
-				// Background speculation drains before the next batch, as
-				// it would between churn bursts; its cost is not part of
-				// the measured flush latency.
-				ctrl.WaitSpeculation()
 			}
 			b.StopTimer()
 			reportPercentiles(b, lats)

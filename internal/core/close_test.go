@@ -3,77 +3,13 @@ package core
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestCloseWaitsForInFlightSpeculation: Close must not return while
-// background speculation work is still running — it waits on the
-// speculation WaitGroup after setting the closed flag.
-func TestCloseWaitsForInFlightSpeculation(t *testing.T) {
-	_, _, ctrl, _, _ := churnRig(t, 2, 2, 2)
-	ctrl.SpeculateNext = 2
-	ctrl.SpeculateAsync = true
-
-	// Park a stand-in for an in-flight speculation goroutine on the
-	// same WaitGroup the real async path uses.
-	release := make(chan struct{})
-	ctrl.specWG.Add(1)
-	go func() {
-		defer ctrl.specWG.Done()
-		<-release
-	}()
-
-	closed := make(chan error, 1)
-	go func() { closed <- ctrl.Close() }()
-	select {
-	case err := <-closed:
-		t.Fatalf("Close returned (%v) while speculation was still in flight", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	if err := <-closed; err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if _, err := ctrl.Flush(); err == nil {
-		t.Error("Flush accepted after Close")
-	}
-	// Close is idempotent.
-	if err := ctrl.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-}
-
-// TestSpeculationBailsWhenClosed: a speculation round entered on (or
-// racing with) Close stops at the closed check instead of planning a
-// full candidate set nobody will consume.
-func TestSpeculationBailsWhenClosed(t *testing.T) {
-	_, _, ctrl, ids, _ := churnRig(t, 2, 2, 4)
-	ctrl.SpeculateNext = 3
-
-	// A normal synchronous flush plans speculative candidates.
-	ctrl.Submit(Op{Kind: OpActivate, Slot: ids[2]})
-	if _, err := ctrl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	planned := ctrl.SpeculationStats().Planned
-	if planned == 0 {
-		t.Fatal("no speculative candidates planned before Close (test needs some)")
-	}
-
-	if err := ctrl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A round racing past Close bails without planning anything.
-	ctrl.speculate()
-	if got := ctrl.SpeculationStats().Planned; got != planned {
-		t.Fatalf("speculation planned %d candidates after Close (was %d)", got, planned)
-	}
-}
-
-// TestCloseLeaksNoGoroutines: repeated controller lifecycles with async
-// speculation must not accumulate goroutines — the regression test for
-// Close waiting out SpeculateAsync work.
+// TestCloseLeaksNoGoroutines: a controller owns no background work, so
+// repeated lifecycles must leave the goroutine count where it was.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	count := func() int {
 		runtime.GC()
@@ -82,8 +18,6 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	before := count()
 	for i := 0; i < 20; i++ {
 		_, _, ctrl, ids, _ := churnRig(t, 2, 2, 2)
-		ctrl.SpeculateNext = 3
-		ctrl.SpeculateAsync = true
 		ctrl.Submit(Op{Kind: OpActivate, Slot: ids[2]})
 		if _, err := ctrl.Flush(); err != nil {
 			t.Fatal(err)
@@ -92,30 +26,19 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Close waited for every speculation goroutine, so the count returns
-	// to baseline (give the runtime a moment to retire exited Gs).
+	// Give the runtime a moment to retire exited Gs.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := count(); n <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			break
-		}
+	for count() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	after := count()
-	if after > before {
-		buf := make([]byte, 1<<16)
-		n := runtime.Stack(buf, true)
-		spec := strings.Count(string(buf[:n]), "speculate")
-		t.Fatalf("goroutines grew %d -> %d after 20 close cycles (%d in speculate)", before, after, spec)
+	if after := count(); after > before {
+		t.Fatalf("goroutines grew %d -> %d after 20 close cycles", before, after)
 	}
 }
 
-// TestCloseWithoutSpeculationOrJournal: Close on a plain controller is
-// a cheap no-op and flushing afterwards fails cleanly.
-func TestCloseWithoutSpeculationOrJournal(t *testing.T) {
+// TestCloseWithoutJournal: Close on a plain controller is a cheap no-op
+// and flushing afterwards fails cleanly.
+func TestCloseWithoutJournal(t *testing.T) {
 	_, _, ctrl, ids, _ := churnRig(t, 2, 2, 1)
 	if err := ctrl.Close(); err != nil {
 		t.Fatal(err)
@@ -123,5 +46,59 @@ func TestCloseWithoutSpeculationOrJournal(t *testing.T) {
 	ctrl.Submit(Op{Kind: OpActivate, Slot: ids[2]})
 	if _, err := ctrl.Flush(); err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Fatalf("flush after close: %v, want a closed error", err)
+	}
+	// Close is idempotent.
+	if err := ctrl.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestControllerCloseFlushSubmitRace hammers one controller with
+// concurrent Submit/Flush traffic racing a Close — the -race stress for
+// the closed flag. Whatever the interleaving, Close must win cleanly:
+// after it returns no flush is accepted and no epoch is installed.
+func TestControllerCloseFlushSubmitRace(t *testing.T) {
+	for round := 0; round < 25; round++ {
+		_, _, ctrl, ids, _ := churnRig(t, 2, 2, 4)
+
+		const goroutines = 6
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 10; i++ {
+					switch g % 3 {
+					case 0:
+						ctrl.Submit(Op{Kind: OpActivate, Slot: ids[2+(g+i)%4]})
+						_, _ = ctrl.Flush()
+					case 1:
+						ctrl.Submit(Op{Kind: OpDeactivate, Slot: ids[2+(g+i)%4]})
+						_, _ = ctrl.Flush()
+					case 2:
+						if i == 5 {
+							_ = ctrl.Close()
+						} else {
+							_, _ = ctrl.Flush()
+						}
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		if err := ctrl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		version := ctrl.Epoch().Version
+		ctrl.Submit(Op{Kind: OpActivate, Slot: ids[2]})
+		if _, err := ctrl.Flush(); err == nil {
+			t.Fatal("Flush accepted after Close")
+		}
+		if got := ctrl.Epoch().Version; got != version {
+			t.Fatalf("epoch moved %d -> %d after Close", version, got)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tableau/internal/journal"
 	"tableau/internal/planner"
@@ -188,20 +187,6 @@ type Controller struct {
 	// tests.
 	UnsafeShedLSFirst bool
 
-	// SpeculateNext, when positive, pre-plans up to that many likely
-	// next populations after each successful Flush (the queued batch,
-	// the next spare's arrival, the newest VM's departure), so a flush
-	// matching one commits a precomputed epoch in install time. Zero
-	// (the default) disables speculation. Speculation never touches the
-	// sink or the population — it is invisible to correctness — and in
-	// a simulated run costs zero sim time.
-	SpeculateNext int
-
-	// SpeculateAsync moves speculative planning onto a background
-	// goroutine. The default (synchronous) keeps SpecStats
-	// deterministic; async trades that for not blocking the flusher.
-	SpeculateAsync bool
-
 	// MaxHistory bounds the retained epoch history. Every committed
 	// epoch holds a full table plus its wire encoding, so an unbounded
 	// history grows the live heap linearly with churn on a long-lived
@@ -226,39 +211,8 @@ type Controller struct {
 	// a previous journal.
 	journal *journal.Writer
 
-	// specStore holds speculative results keyed by planner.CacheKey, in
-	// the planner universe. Guarded by mu; planOnceLocked's backend
-	// closure reads it with mu already held.
-	specStore map[string]*planner.Result
-	specStats SpecStats
-	specHit   bool // last planOnceLocked was served speculatively
-	specWG    sync.WaitGroup
-
-	// specRounds counts entries into speculate(), including rounds that
-	// bail immediately on closed. The Close/Flush regression tests read
-	// it to prove no round starts after Close has returned.
-	specRounds atomic.Int64
-
-	// testHookPreKickoff, when set, runs between Flush's transactional
-	// body and its speculation-kickoff decision — the window the
-	// Close/Flush race regression test needs to land a Close in
-	// deterministically. Never set outside tests.
-	testHookPreKickoff func()
-
-	// closed is set by Close: in-flight speculation bails at the next
-	// candidate boundary, no new speculation starts, and Flush refuses
-	// further batches.
+	// closed is set by Close: Flush refuses further batches.
 	closed bool
-}
-
-// SpecStats are the speculation counters.
-type SpecStats struct {
-	// Planned counts speculative plans computed; Hits counts flushes
-	// served from the store; Wasted counts stored plans invalidated
-	// unconsumed (the population moved somewhere else).
-	Planned int64
-	Hits    int64
-	Wasted  int64
 }
 
 // NewController wraps sys, installing tables into sink. initial is the
@@ -267,7 +221,7 @@ type SpecStats struct {
 func NewController(sys *System, sink TableSink, initial *planner.Result) (*Controller, error) {
 	c := &Controller{sys: sys, sink: sink}
 	if initial != nil {
-		ep, err := epochOf(initial.Table, initial.Guarantees)
+		ep, err := epochOf(initial.Table, initial.Guarantees, Epoch{})
 		if err != nil {
 			return nil, err
 		}
@@ -277,30 +231,12 @@ func NewController(sys *System, sink TableSink, initial *planner.Result) (*Contr
 	return c, nil
 }
 
-func epochOf(tbl *table.Table, gs []table.Guarantee) (Epoch, error) {
-	enc, err := tbl.AppendEncodedCompact(nil)
-	if err != nil {
-		return Epoch{}, fmt.Errorf("core: encoding epoch %d: %w", tbl.Generation, err)
-	}
-	return Epoch{
-		Version:    tbl.Generation,
-		Table:      tbl,
-		Guarantees: append([]table.Guarantee(nil), gs...),
-		Bytes:      enc,
-	}, nil
-}
-
-// epochOfLocked is epochOf with cross-epoch encode reuse: when the
-// system runs incrementally, cores whose schedules are unchanged from
-// the current epoch have their wire segments copied instead of
+// epochOf encodes tbl as the epoch after prev. Cores whose schedules are
+// unchanged from prev have their wire segments copied instead of
 // re-encoded (verified by content comparison, so the bytes are exactly
-// what a full encode would produce). Scratch-mode systems keep the
-// plain full encode as the no-reuse baseline.
-func (c *Controller) epochOfLocked(tbl *table.Table, gs []table.Guarantee) (Epoch, error) {
-	if !c.sys.Incremental || c.epoch.Table == nil {
-		return epochOf(tbl, gs)
-	}
-	enc, err := tbl.AppendEncodedReusingCompact(nil, c.epoch.Table, c.epoch.Bytes)
+// what a full encode produces); a zero prev is a full encode.
+func epochOf(tbl *table.Table, gs []table.Guarantee, prev Epoch) (Epoch, error) {
+	enc, err := tbl.AppendEncodedReusingCompact(nil, prev.Table, prev.Bytes)
 	if err != nil {
 		return Epoch{}, fmt.Errorf("core: encoding epoch %d: %w", tbl.Generation, err)
 	}
@@ -340,12 +276,14 @@ func (c *Controller) Journal() *journal.Writer { return c.journal }
 // journalRecordLocked is System's half of the epoch record: the
 // committed epoch plus the population and topology facts recovery
 // needs. System.mu is held, so the snapshot is the exact state the
-// epoch was planned from.
+// epoch was planned from. The record aliases ep's guarantees and bytes:
+// it is for handing straight to journal.Writer.Append, which serialises
+// it and keeps nothing.
 func (s *System) journalRecordLocked(ep Epoch) *journal.EpochRecord {
 	rec := &journal.EpochRecord{
 		Version:    ep.Version,
-		Guarantees: append([]table.Guarantee(nil), ep.Guarantees...),
-		TableBytes: append([]byte(nil), ep.Bytes...),
+		Guarantees: ep.Guarantees,
+		TableBytes: ep.Bytes,
 	}
 	for _, sl := range s.slots {
 		rec.Slots = append(rec.Slots, journal.SlotConfig{
@@ -366,17 +304,14 @@ func (s *System) journalRecordLocked(ep Epoch) *journal.EpochRecord {
 	return rec
 }
 
-// Close shuts the controller down: no further Flush is accepted, any
-// in-flight SpeculateAsync work is cancelled (it bails at the next
-// candidate boundary) and waited for, and the journal — if attached —
-// is synced so every committed epoch is durable. Safe to call more
-// than once.
+// Close shuts the controller down: no further Flush is accepted, and
+// the journal — if attached — is synced so every committed epoch is
+// durable. Safe to call more than once.
 func (c *Controller) Close() error {
 	c.mu.Lock()
 	alreadyClosed := c.closed
 	c.closed = true
 	c.mu.Unlock()
-	c.specWG.Wait()
 	if c.journal != nil && !alreadyClosed {
 		return c.journal.Sync()
 	}
@@ -458,46 +393,6 @@ func (c *Controller) ControllerStats() Stats {
 // rolled back. Individually rejected ops are not an error — callers
 // inspect Transition.Rejected.
 func (c *Controller) Flush() (*Transition, error) {
-	tr, err := c.flush()
-	if h := c.testHookPreKickoff; h != nil {
-		h()
-	}
-	if tr == nil || tr.RolledBack {
-		return tr, err
-	}
-	// The speculation-kickoff decision must happen under the mutex,
-	// gated on closed: Close sets closed and then returns from
-	// specWG.Wait, so an unguarded Add here could follow that Wait —
-	// the documented WaitGroup misuse — and start a speculation
-	// goroutine after Close already synced the journal. Holding mu also
-	// makes the SpeculateNext/SpeculateAsync reads consistent with the
-	// flush that just committed.
-	c.mu.Lock()
-	if c.closed || c.SpeculateNext <= 0 {
-		c.mu.Unlock()
-		return tr, err
-	}
-	async := c.SpeculateAsync
-	if async {
-		c.specWG.Add(1)
-		go func() {
-			defer c.specWG.Done()
-			c.speculate()
-		}()
-	}
-	c.mu.Unlock()
-	if !async {
-		c.speculate()
-	}
-	return tr, err
-}
-
-// WaitSpeculation blocks until background speculation kicked off by
-// previous Flushes has finished (a no-op in synchronous mode).
-func (c *Controller) WaitSpeculation() { c.specWG.Wait() }
-
-// flush is Flush's transactional body.
-func (c *Controller) flush() (*Transition, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -630,7 +525,7 @@ func (c *Controller) flush() (*Transition, error) {
 		c.rollbackLocked(snap, tr, perr)
 		return tr, perr
 	}
-	ep, eerr := c.epochOfLocked(tbl, res.Guarantees)
+	ep, eerr := epochOf(tbl, res.Guarantees, c.epoch)
 	if eerr != nil {
 		// Encoding a just-validated table cannot fail in practice; treat
 		// it as an install failure for uniformity.
@@ -673,8 +568,6 @@ func (c *Controller) flush() (*Transition, error) {
 		}
 		origin := trace.PlanOriginScratch
 		switch {
-		case c.specHit:
-			origin = trace.PlanOriginSpeculative
 		case res.FromCache:
 			origin = trace.PlanOriginCached
 		case res.Incremental:
@@ -685,41 +578,11 @@ func (c *Controller) flush() (*Transition, error) {
 	return tr, nil
 }
 
-// planOnceLocked is one planner invocation with counters. With
-// speculation enabled, the backend first consults the speculative
-// store: an exact CacheKey match means the stored result was planned
-// from the identical population, options, and previous plan the live
-// call would use, so returning it is indistinguishable from planning —
-// minus the latency.
+// planOnceLocked is one planner invocation with counters.
 func (c *Controller) planOnceLocked(tr *Transition) (*table.Table, *planner.Result, error) {
 	tr.PlannerCalls++
 	c.stats.PlannerCalls++
-	c.specHit = false
-	fn := c.PlanVia
-	if c.SpeculateNext > 0 {
-		inner := fn
-		fn = func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
-			key := planner.CacheKey(specs, opts)
-			if res, ok := c.specStore[key]; ok {
-				delete(c.specStore, key)
-				c.specStats.Hits++
-				c.specHit = true
-				return res, nil
-			}
-			if inner != nil {
-				return inner(specs, opts)
-			}
-			return c.sys.plan(specs, opts, c.sys.prev)
-		}
-	}
-	return c.sys.planLocked(fn)
-}
-
-// SpeculationStats returns the speculation counters.
-func (c *Controller) SpeculationStats() SpecStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.specStats
+	return c.sys.planLocked(c.PlanVia)
 }
 
 // rollbackLocked restores the snapshot and, for emergency batches,

@@ -49,7 +49,7 @@ type TableSink interface {
 // and options it returns a planner result in the planner's universe
 // (vCPU ids = spec order, core ids = logical survivor order). It is the
 // hook through which planning can be served remotely (plannersvc) — nil
-// means the local planner (through System.Cache when set).
+// means the local planner (System.plan's ladder).
 type PlanFunc func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error)
 
 // VMConfig describes one single-vCPU VM slot in the system. (The paper
@@ -112,7 +112,9 @@ type System struct {
 	// systems and goroutines), so Plan works on a private copy before
 	// remapping. Set it before the first Plan. The cache's attached
 	// SliceCache is wired into every local plan, so per-core EDF
-	// simulations are memoized even when the whole problem misses.
+	// simulations are memoized even when the whole problem misses — and
+	// on an Incremental system that memo is all of the cache that is
+	// used (see plan).
 	Cache *planner.Cache
 
 	// Incremental, when set, threads each successful plan's result into
@@ -353,7 +355,7 @@ func (s *System) Plan() (*table.Table, *planner.Result, error) {
 // active specs and the topology-adjusted options and must return a
 // result in the planner universe, which PlanUsing then remaps into the
 // slot-id/physical-core universe exactly like Plan. A nil fn selects
-// the local planner (through Cache when set). This is how remote
+// the local planner (System.plan's ladder). This is how remote
 // planning (plannersvc.Client.PlanFunc) and the churn experiments'
 // outage-simulating backends slot into the same pipeline.
 func (s *System) PlanUsing(fn PlanFunc) (*table.Table, *planner.Result, error) {
@@ -375,7 +377,7 @@ func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) 
 	if fn != nil {
 		res, err = fn(specs, opts)
 	} else {
-		res, err = s.plan(specs, opts, s.prev)
+		res, err = s.plan(specs, opts)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -383,8 +385,8 @@ func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) 
 	if s.Incremental {
 		// Capture the planner-universe result before the remap below
 		// rewrites guarantees into slot ids: it seeds the next plan's
-		// dirty-core diff. Any successful plan (local, cached, remote,
-		// speculative) is the population the next batch perturbs.
+		// dirty-core diff. Any successful plan, local or remote, is the
+		// population the next batch perturbs.
 		s.prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res.Clone()}
 	}
 	tbl, err := s.remapLocked(res.Table, specSlot, fn == nil)
@@ -441,9 +443,7 @@ func (s *System) affinityForLocked(specs []planner.VCPUSpec, online []int) (map[
 // the configured options adjusted for split rotation, the surviving
 // topology (the planner's admission check is the gate that decides
 // whether a degraded host can still carry the reserved utilization),
-// affinity narrowing, and the cache's slice memo. Controller
-// speculation uses the same derivation so a speculative key matches the
-// flush that later consumes it exactly.
+// affinity narrowing, and the cache's slice memo.
 func (s *System) planOptsLocked(specs []planner.VCPUSpec) (planner.Options, error) {
 	opts := s.plannerOpts
 	if s.RotateSplits {
@@ -470,45 +470,32 @@ func (s *System) planOptsLocked(specs []planner.VCPUSpec) (planner.Options, erro
 	return opts, nil
 }
 
-// plan generates (or looks up) the planner result for the given specs.
-// When a cache serves the request, the shared Result is deep-cloned:
-// Plan remaps guarantees into the slot-id universe, and callers are
-// free to inspect or rewrite the returned Tasks and Splits — none of
-// which may reach through to the cached original other users share.
-// prev is the previous plan for the incremental path (ignored unless
-// s.Incremental); scratch results are published to the cache, while
-// incremental ones are not — their tables depend on planning history,
-// so sharing them across cache users would make cached contents depend
-// on who planned first.
-func (s *System) plan(specs []planner.VCPUSpec, opts planner.Options, prev *planner.PrevPlan) (*planner.Result, error) {
-	if s.Cache == nil {
-		if s.Incremental {
-			return planner.PlanIncremental(specs, opts, prev)
+// plan is the one place plan reuse is decided, a three-rung ladder on
+// the system's mode. An incremental system replans from its previous
+// plan and never touches the whole-plan cache: incremental tables depend
+// on planning history, so they cannot be shared, and under churn the
+// exact population almost never recurs, so there is nothing to look up
+// (only the cache's slice memo is used, through opts.Slices). A system
+// with a cache but no incremental mode asks the cache, which plans on a
+// miss; the shared Result is deep-cloned because planLocked remaps
+// guarantees into the slot-id universe and callers may rewrite Tasks and
+// Splits, none of which may reach the copy other cache users share.
+// Otherwise every plan is from scratch.
+func (s *System) plan(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
+	switch {
+	case s.Incremental:
+		return planner.PlanIncremental(specs, opts, s.prev)
+	case s.Cache != nil:
+		shared, hit, err := s.Cache.Plan(specs, opts)
+		if err != nil {
+			return nil, err
 		}
+		res := shared.Clone()
+		res.FromCache = hit
+		return res, nil
+	default:
 		return planner.Plan(specs, opts)
 	}
-	if shared, ok := s.Cache.Lookup(specs, opts); ok {
-		cl := shared.Clone()
-		cl.FromCache = true
-		return cl, nil
-	}
-	var res *planner.Result
-	var err error
-	if s.Incremental {
-		res, err = planner.PlanIncremental(specs, opts, prev)
-	} else {
-		res, err = planner.Plan(specs, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.Cache.Add(specs, opts, res) // no-op for incremental results
-	if !res.Incremental {
-		// The cached copy is shared from here on; hand back a private
-		// clone like any cache hit.
-		return res.Clone(), nil
-	}
-	return res, nil
 }
 
 // remapLocked rewrites a planner table (vCPU ids = active-spec order,

@@ -263,6 +263,9 @@ func TestCachedPlanMatchesDirectAndKeepsCacheImmutable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		if res.FromCache != (trial > 0) {
+			t.Errorf("trial %d: FromCache = %v, want a miss first and hits after", trial, res.FromCache)
+		}
 		if len(tbl.VCPUs) != len(dtbl.VCPUs) || len(res.Guarantees) != len(dres.Guarantees) {
 			t.Fatalf("trial %d: cached plan shape differs from direct plan", trial)
 		}

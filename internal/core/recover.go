@@ -236,7 +236,7 @@ func replanRecovered(sys *System, w *journal.Writer) (Epoch, error) {
 	if err != nil {
 		return Epoch{}, err
 	}
-	ep, err := epochOf(tbl, res.Guarantees)
+	ep, err := epochOf(tbl, res.Guarantees, Epoch{})
 	if err != nil {
 		return Epoch{}, err
 	}

@@ -75,12 +75,14 @@ func (s *SwitchBoard) Push(tbl *table.Table, now int64) (int64, error) {
 		at = cycle + 2
 	}
 	s.adopted.Store(0)
-	// Publish order matters for lock-freedom reasoning: the staged
-	// table must be visible before any reader can see an activation
-	// cycle that refers to it. Go atomics are sequentially consistent,
-	// so storing staged first suffices.
-	s.staged.Store(tbl)
+	// Publish order matters: a reader acts on the activation cycle only
+	// once it sees a staged table, so the cycle must be in place first.
+	// Staged first would let a reader pair the new table with the
+	// previous switch's (long past) activation cycle and adopt it before
+	// its boundary. Go atomics are sequentially consistent, so storing
+	// activate first suffices.
 	s.activate.Store(at)
+	s.staged.Store(tbl)
 	// Fail-stopped cores will never cross the activation boundary
 	// themselves; adopt on their behalf so the quorum stays reachable.
 	for c := range s.coreTables {

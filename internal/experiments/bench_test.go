@@ -9,9 +9,8 @@ import (
 // BenchmarkScenario measures the binary tracer's cost on the real
 // evaluation hot path: the Fig. 5 scenario (full density, calibrated
 // overhead model, CPU background) with tracing off (a nil tracer) and
-// on. benchdiff gates both timings against the committed snapshot; the
-// traced-vs-untraced delta on this workload is the overhead number
-// DESIGN.md §7 quotes.
+// on. The traced-vs-untraced delta on this workload is the overhead
+// number DESIGN.md §7 quotes.
 func BenchmarkScenario(b *testing.B) {
 	run := func(b *testing.B, records int) {
 		b.ReportAllocs()

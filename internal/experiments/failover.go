@@ -29,11 +29,11 @@ type failoverParams struct {
 	hosts, cores, slots int
 	spares, placers     int
 	maxAttempts         int
-	vms                 int   // fill-wave population
-	storms              int   // crash storms (fail-stop share swept per storm)
-	victims             int   // hosts armed per storm
-	churnPct            int   // % of live VMs churned while a storm is armed
-	maxAppend           int   // latest append boundary a crash can fire at
+	vms                 int // fill-wave population
+	storms              int // crash storms (fail-stop share swept per storm)
+	victims             int // hosts armed per storm
+	churnPct            int // % of live VMs churned while a storm is armed
+	maxAppend           int // latest append boundary a crash can fire at
 	seed                int64
 }
 

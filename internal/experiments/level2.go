@@ -154,7 +154,7 @@ func RunAblation() []AblationPoint {
 			// Through the shared cache: the ablation's own keys are all
 			// distinct (every point is a different config), but repeated
 			// runs in one process hit, and the counters feed the report.
-			res, err := PlannerCache.Plan(w.specs, opts)
+			res, _, err := PlannerCache.Plan(w.specs, opts)
 			p := AblationPoint{Workload: w.name, Config: c.name, Planned: err == nil}
 			if err == nil {
 				p.Stage = res.Stage

@@ -87,7 +87,7 @@ func RunPlannerSweep(mode Mode) []PlannerPoint {
 		}
 		PlannerCache.Add(specs, opts, res)
 		hitStart := time.Now()
-		if _, err := PlannerCache.Plan(specs, opts); err != nil {
+		if _, _, err := PlannerCache.Plan(specs, opts); err != nil {
 			return PlannerPoint{}, err
 		}
 		return PlannerPoint{

@@ -89,7 +89,9 @@ type SlotConfig struct {
 	BestEffort bool
 }
 
-// EpochRecord is one committed epoch as journaled.
+// EpochRecord is one committed epoch as journaled. Writer.Append
+// serialises a record before it returns and retains none of its slices,
+// so a caller may alias live data into one it appends immediately.
 type EpochRecord struct {
 	Version     uint64
 	Slots       []SlotConfig

@@ -55,3 +55,13 @@ func BenchmarkDBF(b *testing.B) {
 		ts.DBF(int64(i%100) * 1_000_000)
 	}
 }
+
+// TestDBFAllocatesNothing: the planner evaluates the demand bound
+// function in its innermost placement loop.
+func TestDBFAllocatesNothing(t *testing.T) {
+	ts := benchSet(32)
+	i := int64(0)
+	if avg := testing.AllocsPerRun(2000, func() { ts.DBF(i % 100 * 1_000_000); i++ }); avg != 0 {
+		t.Errorf("DBF allocates %v objects per call, want 0", avg)
+	}
+}

@@ -37,12 +37,12 @@ func BenchmarkCacheHit(b *testing.B) {
 	c := NewCache(8)
 	specs := benchSpecs(48)
 	opts := Options{Cores: 12}
-	if _, err := c.Plan(specs, opts); err != nil {
+	if _, _, err := c.Plan(specs, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Plan(specs, opts); err != nil {
+		if _, _, err := c.Plan(specs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

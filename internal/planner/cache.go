@@ -86,9 +86,9 @@ func (c *Cache) SliceCache() *SliceCache { return c.slices }
 // key — including Affinity, which encodes the caller's view of the
 // machine topology: core.System narrows affinity sets to the surviving
 // cores after a fail-stop, so two plans before and after a topology
-// change must never collide on one cached table. Execution-shape fields
-// (PlannerWorkers, Slices) are deliberately excluded: they cannot
-// change the produced table.
+// change must never collide on one cached table. Slices is deliberately
+// excluded: a memo hit returns what a fresh simulation would, so it
+// cannot change the produced table.
 func CacheKey(specs []VCPUSpec, opts Options) string {
 	opts = opts.withDefaults()
 	var b strings.Builder
@@ -164,65 +164,50 @@ func resultFootprint(key string, res *Result) int64 {
 	return n
 }
 
-// Plan returns a cached result for the input if one exists, planning
-// and caching otherwise. Errors are not cached.
-func (c *Cache) Plan(specs []VCPUSpec, opts Options) (*Result, error) {
+// Plan returns the cached result for the input if one exists, planning
+// and caching it otherwise; hit reports which. It is the caller's own
+// lookup that hit is about, not the cache's global counters, so it is
+// exact under concurrency. Errors are not cached.
+func (c *Cache) Plan(specs []VCPUSpec, opts Options) (res *Result, hit bool, err error) {
 	key := CacheKey(specs, opts)
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		c.hits++
-		res := el.Value.(*cacheEntry).res
+		res = el.Value.(*cacheEntry).res
 		c.mu.Unlock()
-		return res, nil
+		return res, true, nil
 	}
 	c.misses++
 	c.mu.Unlock()
 
 	// Plan outside the lock: planning can take milliseconds and
 	// concurrent misses for different keys should proceed in parallel.
-	res, err := Plan(specs, opts)
+	res, err = Plan(specs, opts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		// A concurrent miss beat us; keep the first result so callers
-		// sharing the cache also share tables.
+		// sharing the cache also share tables. Still a miss: this call
+		// planned.
 		c.order.MoveToFront(el)
-		return el.Value.(*cacheEntry).res, nil
+		return el.Value.(*cacheEntry).res, false, nil
 	}
 	c.addLocked(key, res)
-	return res, nil
-}
-
-// Lookup returns the cached result for the input without planning on a
-// miss. Hit/miss counters advance exactly as for Plan.
-func (c *Cache) Lookup(specs []VCPUSpec, opts Options) (*Result, bool) {
-	key := CacheKey(specs, opts)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheEntry).res, true
-	}
-	c.misses++
-	return nil, false
+	return res, false, nil
 }
 
 // Add inserts an externally planned result for the given input, so
 // callers that must time or instrument Plan directly can still publish
 // the table for reuse. An existing entry for the key is kept (callers
 // sharing the cache keep sharing one table); Add counts as neither hit
-// nor miss. Incremental results must not be published — their tables
-// depend on planning history, not just the key — so Add ignores them.
+// nor miss. Only scratch results belong here: an incremental result's
+// table depends on planning history, not just the key.
 func (c *Cache) Add(specs []VCPUSpec, opts Options, res *Result) {
-	if res.Incremental {
-		return
-	}
 	key := CacheKey(specs, opts)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -38,11 +38,11 @@ func TestCacheKeyIncludesAffinity(t *testing.T) {
 func TestCachePlansAffinityVariantsSeparately(t *testing.T) {
 	c := NewCache(8)
 	specs := cacheSpecs(2, 20_000_000)
-	r0, err := c.Plan(specs, Options{Cores: 2, Affinity: map[string][]int{"vm0": {0}}})
+	r0, _, err := c.Plan(specs, Options{Cores: 2, Affinity: map[string][]int{"vm0": {0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c.Plan(specs, Options{Cores: 2, Affinity: map[string][]int{"vm0": {1}}})
+	r1, _, err := c.Plan(specs, Options{Cores: 2, Affinity: map[string][]int{"vm0": {1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

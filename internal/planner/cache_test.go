@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -23,23 +24,26 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	c := NewCache(8)
 	specs := cacheSpecs(8, 20_000_000)
 	opts := Options{Cores: 2}
-	r1, err := c.Plan(specs, opts)
+	r1, hit1, err := c.Plan(specs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Plan(specs, opts)
+	r2, hit2, err := c.Plan(specs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
 		t.Error("identical inputs did not share a cached result")
 	}
+	if hit1 || !hit2 {
+		t.Errorf("Plan reported hit=%v then hit=%v, want a miss then a hit", hit1, hit2)
+	}
 	hits, misses := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits, %d misses", hits, misses)
 	}
 	// A different latency goal is a different key.
-	if _, err := c.Plan(cacheSpecs(8, 30_000_000), opts); err != nil {
+	if _, _, err := c.Plan(cacheSpecs(8, 30_000_000), opts); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -75,7 +79,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
 	opts := Options{Cores: 1}
 	for _, goal := range []int64{20e6, 30e6, 40e6} {
-		if _, err := c.Plan(cacheSpecs(2, goal), opts); err != nil {
+		if _, _, err := c.Plan(cacheSpecs(2, goal), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +87,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatalf("Len = %d after eviction", c.Len())
 	}
 	// The oldest entry (20 ms) was evicted: replanning it is a miss.
-	if _, err := c.Plan(cacheSpecs(2, 20e6), opts); err != nil {
+	if _, _, err := c.Plan(cacheSpecs(2, 20e6), opts); err != nil {
 		t.Fatal(err)
 	}
 	_, misses := c.Stats()
@@ -95,7 +99,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	c := NewCache(4)
 	bad := []VCPUSpec{{Name: "x", Util: Util{Num: 3, Den: 2}, LatencyGoal: 1e7}}
-	if _, err := c.Plan(bad, Options{Cores: 1}); err == nil {
+	if _, _, err := c.Plan(bad, Options{Cores: 1}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 	if c.Len() != 0 {
@@ -106,15 +110,20 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(16)
 	var wg sync.WaitGroup
+	var reported atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				goal := int64(10+(g+i)%4*10) * 1_000_000
-				if _, err := c.Plan(cacheSpecs(4, goal), Options{Cores: 1}); err != nil {
+				_, hit, err := c.Plan(cacheSpecs(4, goal), Options{Cores: 1})
+				if err != nil {
 					t.Error(err)
 					return
+				}
+				if hit {
+					reported.Add(1)
 				}
 			}
 		}(g)
@@ -123,6 +132,9 @@ func TestCacheConcurrent(t *testing.T) {
 	hits, misses := c.Stats()
 	if hits+misses != 160 {
 		t.Errorf("hits+misses = %d, want 160", hits+misses)
+	}
+	if got := reported.Load(); got != hits {
+		t.Errorf("callers were told of %d hits, the cache counted %d", got, hits)
 	}
 	if misses > 16 {
 		t.Errorf("misses = %d, want at most a few per distinct key", misses)
@@ -141,7 +153,7 @@ func TestCacheAdd(t *testing.T) {
 	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("Add counted as hit/miss: %d/%d", hits, misses)
 	}
-	got, err := c.Plan(specs, opts)
+	got, _, err := c.Plan(specs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +166,7 @@ func TestCacheAdd(t *testing.T) {
 	// Adding again keeps the existing entry.
 	res2, _ := Plan(specs, opts)
 	c.Add(specs, opts, res2)
-	got, _ = c.Plan(specs, opts)
+	got, _, _ = c.Plan(specs, opts)
 	if got != res {
 		t.Error("Add displaced an existing entry")
 	}

@@ -36,47 +36,6 @@ func encodeTable(t *testing.T, tbl *table.Table) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelSynthesisByteIdentical is the determinism pin for the
-// stage-4 worker pool: the TBTBL1 encoding of the planned table must be
-// byte-for-byte identical at any PlannerWorkers setting, because
-// results are merged in job order regardless of completion order.
-func TestParallelSynthesisByteIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		specs []VCPUSpec
-		opts  Options
-	}{
-		{"paper16x4", paperSpecs(16, 4, 20_000_000, true), Options{Cores: 16}},
-		{"mixed", mixedSpecs(24), Options{Cores: 8}},
-		{"peephole", mixedSpecs(12), Options{Cores: 4, Peephole: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := tc.opts
-			base.PlannerWorkers = 1
-			ref, err := Plan(tc.specs, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := encodeTable(t, ref.Table)
-			for _, workers := range []int{2, 3, 8} {
-				o := tc.opts
-				o.PlannerWorkers = workers
-				got, err := Plan(tc.specs, o)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !bytes.Equal(want, encodeTable(t, got.Table)) {
-					t.Errorf("workers=%d produced a different TBTBL1 encoding than workers=1", workers)
-				}
-				if got.Preemptions != ref.Preemptions || got.ContextSwitches != ref.ContextSwitches {
-					t.Errorf("workers=%d: counters differ: %d/%d vs %d/%d", workers,
-						got.Preemptions, got.ContextSwitches, ref.Preemptions, ref.ContextSwitches)
-				}
-			}
-		})
-	}
-}
-
 // TestSliceCacheReuse pins the slice memo's correctness and accounting:
 // replanning the same population through a shared SliceCache serves
 // every synthesized core from the memo and still produces the
@@ -119,7 +78,7 @@ func TestCacheByteBudget(t *testing.T) {
 	c.SetMaxBytes(4 << 10)
 	for i := 0; i < 12; i++ {
 		goal := int64(10+i) * 1_000_000
-		if _, err := c.Plan(cacheSpecs(8, goal), Options{Cores: 2}); err != nil {
+		if _, _, err := c.Plan(cacheSpecs(8, goal), Options{Cores: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,10 +188,9 @@ func TestIncrementalFallsBackToScratch(t *testing.T) {
 
 // TestConcurrentPlanStress is the race-target stress test: 8 goroutines
 // plan overlapping populations through one shared Cache (and its
-// SliceCache) with the stage-4 worker pool enabled, mixing cached,
-// scratch, and incremental paths. Run under -race this exercises the
-// cache locking, the parallel synthesis fan-out, and the read-only
-// sharing of cached results.
+// SliceCache), mixing cached, scratch, and incremental paths. Run under
+// -race this exercises the cache and slice-memo locking and the
+// read-only sharing of cached results.
 func TestConcurrentPlanStress(t *testing.T) {
 	c := NewCache(32)
 	var wg sync.WaitGroup
@@ -241,7 +199,7 @@ func TestConcurrentPlanStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			base := mixedSpecs(12)
-			opts := Options{Cores: 4, PlannerWorkers: 8, Slices: c.SliceCache()}
+			opts := Options{Cores: 4, Slices: c.SliceCache()}
 			prevRes, err := Plan(base, opts)
 			if err != nil {
 				t.Error(err)
@@ -250,7 +208,7 @@ func TestConcurrentPlanStress(t *testing.T) {
 			prev := &PrevPlan{Specs: base, Opts: opts, Res: prevRes}
 			for i := 0; i < 10; i++ {
 				goal := int64(10+(g+i)%4*5) * 1_000_000
-				if _, err := c.Plan(cacheSpecs(8, goal), Options{Cores: 2, PlannerWorkers: 4}); err != nil {
+				if _, _, err := c.Plan(cacheSpecs(8, goal), Options{Cores: 2}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -124,13 +124,6 @@ type Options struct {
 	// it on every replan when rotation is enabled.
 	SplitRotation int
 
-	// PlannerWorkers bounds the goroutines used for the per-core EDF
-	// table-synthesis stage; values <= 1 run it serially. Synthesis
-	// jobs are independent per core and their outputs are merged in
-	// core order, so the generated table is byte-identical at any
-	// worker count. Execution shape only: excluded from CacheKey.
-	PlannerWorkers int
-
 	// Slices, when set, memoizes per-core EDF simulations across plans
 	// keyed by the core's ordered task parameters (see SliceCache). A
 	// hit returns the identical simulation a fresh run would produce,

@@ -2,20 +2,15 @@ package planner
 
 import (
 	"fmt"
-	"sync"
 
 	"tableau/internal/periodic"
 	"tableau/internal/table"
 )
 
-// This file parallelizes stage 4 of planning — the per-core EDF
-// simulations that materialize slice tables. The jobs are
-// embarrassingly parallel (each reads only its own core's task set) and
-// their outputs are merged strictly in job order, so the generated
-// table and the planner's counters are byte-identical at any
-// Options.PlannerWorkers setting. The fan-out shape follows
-// internal/experiments: a fixed worker pool draining an index channel,
-// results parked in a pre-sized slice.
+// This file is stage 4 of planning — the per-core EDF simulations that
+// materialize slice tables. Each job reads only its own core's task
+// set, and every job runs (and feeds the slice memo) before any output
+// is merged or any error returned.
 
 // synthJob is one core's stage-4 synthesis work. When adopt is
 // non-nil the core is pinned and its previous final (post-coalesce)
@@ -33,7 +28,7 @@ type synthJob struct {
 }
 
 // synthOut is one job's result, parked at the job's index until the
-// deterministic in-order merge.
+// in-order merge.
 type synthOut struct {
 	allocs      []table.Alloc
 	preemptions int
@@ -42,27 +37,24 @@ type synthOut struct {
 	err         error
 }
 
-// synthesizeCores runs every job (serially or on a worker pool), then
-// merges outputs in job order into tbl and res. The merge order — not
-// the completion order — determines every observable effect, which is
-// what makes worker counts invisible in the output.
+// synthesizeCores runs every job, then merges the outputs in job order
+// into tbl and res.
 func synthesizeCores(tbl *table.Table, res *Result, jobs []synthJob, tableLen int64, opts Options) error {
 	if len(jobs) == 0 {
 		return nil
 	}
 	outs := make([]synthOut, len(jobs))
-	runOne := func(i int) {
-		j := jobs[i]
+	for i, j := range jobs {
 		o := &outs[i]
 		coreH, err := j.tasks.Hyperperiod()
 		if err != nil {
 			o.err = err
-			return
+			continue
 		}
 		sim, hit, err := simulateCore(j.tasks, coreH, opts.Slices)
 		if err != nil {
 			o.err = fmt.Errorf("planner: core %d EDF simulation failed: %w", j.core, err)
-			return
+			continue
 		}
 		o.sliceHit = hit
 		reps := int(tableLen / coreH)
@@ -73,33 +65,6 @@ func synthesizeCores(tbl *table.Table, res *Result, jobs []synthJob, tableLen in
 		} else {
 			o.allocs = tileSlots(sim.Slots, j.tasks, coreH, tableLen)
 		}
-	}
-
-	workers := opts.PlannerWorkers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i := range jobs {
-			runOne(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runOne(i)
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
 	}
 
 	for i := range outs {

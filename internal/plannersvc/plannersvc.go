@@ -91,7 +91,6 @@ type Server struct {
 	inflight atomic.Int64
 	draining atomic.Bool
 	breaker  atomic.Pointer[Breaker]
-	spec     atomic.Pointer[func() (hits, wasted int64)]
 
 	// jmu serializes the plan journal: appends take a sequence number
 	// and must reach the writer in that order.
@@ -190,12 +189,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // surfaced so operators can see a tripped circuit without log-diving.
 func (s *Server) SetBreaker(b *Breaker) { s.breaker.Store(b) }
 
-// SetSpeculationStats registers a source for the host controller's
-// speculation counters (core.Controller.SpeculationStats), so a daemon
-// colocated with a controller surfaces hits/wasted on /healthz next to
-// the cache counters. The function is called on every /healthz request.
-func (s *Server) SetSpeculationStats(fn func() (hits, wasted int64)) { s.spec.Store(&fn) }
-
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
@@ -228,10 +221,6 @@ type healthResponse struct {
 	SliceHits      int64 `json:"slice_hits"`
 	SliceMisses    int64 `json:"slice_misses"`
 	SliceEvictions int64 `json:"slice_evictions"`
-	// SpecHits / SpecWasted mirror the registered controller's
-	// speculation counters (SetSpeculationStats); absent otherwise.
-	SpecHits   *int64 `json:"spec_hits,omitempty"`
-	SpecWasted *int64 `json:"spec_wasted,omitempty"`
 	// JournalRecords / JournalErrors describe the attached plan journal
 	// (SetJournal); absent otherwise.
 	JournalRecords *int64 `json:"journal_records,omitempty"`
@@ -257,10 +246,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		SliceMisses:    st.Slice.Misses,
 		SliceEvictions: st.Slice.Evictions,
 		QueueDepth:     s.inflight.Load(),
-	}
-	if fn := s.spec.Load(); fn != nil {
-		hits, wasted := (*fn)()
-		resp.SpecHits, resp.SpecWasted = &hits, &wasted
 	}
 	s.jmu.Lock()
 	if s.journal != nil {
@@ -322,15 +307,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// share core-level task multisets with earlier requests (excluded
 	// from the cache key: it cannot change the produced table).
 	opts.Slices = s.cache.SliceCache()
-	hitsBefore, _ := s.cache.Stats()
 	start := time.Now()
-	res, err := s.cache.Plan(specs, opts)
+	res, hit, err := s.cache.Plan(specs, opts)
 	planTime := time.Since(start)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	hitsAfter, _ := s.cache.Stats()
 
 	var buf bytes.Buffer
 	if err := res.Table.Encode(&buf); err != nil {
@@ -344,7 +327,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Splits:        len(res.Splits),
 		SwitchesSaved: res.SwitchesSaved,
 		Table:         base64.StdEncoding.EncodeToString(buf.Bytes()),
-		Cached:        hitsAfter > hitsBefore,
+		Cached:        hit,
 		PlanMS:        float64(planTime.Microseconds()) / 1000,
 	}
 	for _, g := range res.Guarantees {

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tableau/internal/table"
@@ -158,5 +160,60 @@ func TestResponseTableMatchesDirectPlan(t *testing.T) {
 	}
 	if err := tbl.Check(gs); err != nil {
 		t.Errorf("remote table fails its own advertised guarantees: %v", err)
+	}
+}
+
+// TestCachedFlagExactUnderConcurrency pins what "cached" means: this
+// request's own lookup hit. It used to be inferred from the shared
+// cache's global hit counter moving while the request ran, so a miss
+// that overlapped another request's hit also answered cached=true. The
+// cache holds two of the three populations in play, so misses keep
+// happening alongside hits; the responses that claim a hit must add up
+// to exactly the hits /healthz counts.
+func TestCachedFlagExactUnderConcurrency(t *testing.T) {
+	s := NewServer(2)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const goroutines, requests = 8, 25
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := &Client{BaseURL: ts.URL}
+			for i := 0; i < requests; i++ {
+				goal := int64(10+(g+i)%3*10) * 1_000_000
+				_, resp, err := c.Plan(testRequest(8, goal))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.Cached {
+					claimed.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h healthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.CacheHits+h.CacheMisses != goroutines*requests {
+		t.Fatalf("healthz counts %d lookups, want %d", h.CacheHits+h.CacheMisses, goroutines*requests)
+	}
+	if h.CacheMisses <= 3 {
+		t.Fatalf("only %d misses: the cache did not thrash, so no miss could overlap a hit", h.CacheMisses)
+	}
+	if got := claimed.Load(); got != h.CacheHits {
+		t.Errorf("%d responses said cached, /healthz counts %d hits", got, h.CacheHits)
 	}
 }

@@ -35,25 +35,36 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	e.RunUntil(e.Now() + 100)
 }
 
-// BenchmarkSteadyStateAllocs asserts the allocation contract directly:
-// after warm-up, a schedule/fire cycle performs zero heap allocations.
-func BenchmarkSteadyStateAllocs(b *testing.B) {
+// TestSteadyStateAllocatesNothing is the allocation contract as a test:
+// once the free list holds the peak event population, schedule+fire and
+// schedule+cancel (timer re-arming, as vmm's Kick and chargeAsync do
+// constantly) both recycle events without touching the heap.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
 	e := New(1)
 	fn := func(int64) {}
-	// Warm up the free list to the peak population used below.
-	for i := 0; i < 128; i++ {
+	i := 0
+	run := func() {
 		e.At(e.Now()+int64(i%8)+1, fn)
 		if i%8 == 7 {
 			e.RunUntil(e.Now() + 16)
 		}
+		i++
 	}
-	e.RunUntil(e.Now() + 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.At(e.Now()+int64(i%8)+1, fn)
-		if i%8 == 7 {
-			e.RunUntil(e.Now() + 16)
+	cancel := func() {
+		e.At(e.Now()+10, fn).Cancel()
+		if i%64 == 63 {
+			e.RunUntil(e.Now() + 1)
 		}
+		i++
+	}
+	for w := 0; w < 128; w++ { // warm the free list and the heap's backing array
+		run()
+		cancel()
+	}
+	if avg := testing.AllocsPerRun(2000, run); avg != 0 {
+		t.Errorf("schedule+run allocates %v objects per event, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(2000, cancel); avg != 0 {
+		t.Errorf("schedule+cancel allocates %v objects per event, want 0", avg)
 	}
 }

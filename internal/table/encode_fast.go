@@ -150,11 +150,14 @@ func (t *Table) AppendEncodedCompact(dst []byte) ([]byte, error) {
 	return t.appendEncodedReusing(dst, nil, nil, true)
 }
 
-// AppendEncodedReusingCompact is AppendEncodedCompact with the same
-// cross-epoch segment reuse as AppendEncodedReusing; prevBytes must be
-// prev's compact encoding. In compact form a core's segment depends
-// only on its id and allocation list, so reuse needs no slice-length
-// agreement.
+// AppendEncodedReusingCompact is AppendEncodedCompact with cross-epoch
+// segment reuse: any core whose id and full allocation list are
+// unchanged from prev has its encoded segment copied verbatim out of
+// prevBytes instead of being re-encoded field by field (in compact form
+// a core's segment depends on nothing else). prevBytes must be prev's
+// compact encoding — its length is verified against
+// prev.EncodedSizeCompact() — and on any mismatch, or a nil prev, the
+// call degrades to a full encode.
 func (t *Table) AppendEncodedReusingCompact(dst []byte, prev *Table, prevBytes []byte) ([]byte, error) {
 	if prev == nil || prev.Len != t.Len || len(prev.Cores) != len(t.Cores) ||
 		len(prevBytes) != prev.EncodedSizeCompact() {
@@ -163,24 +166,8 @@ func (t *Table) AppendEncodedReusingCompact(dst []byte, prev *Table, prevBytes [
 	return t.appendEncodedReusing(dst, prev, prevBytes, true)
 }
 
-// AppendEncodedReusing is AppendEncoded with cross-epoch segment
-// reuse: any core whose id, slice length, and full allocation list are
-// unchanged from prev has its encoded segment copied verbatim out of
-// prevBytes instead of being re-encoded field by field. The slice
-// index is a pure function of (table length, allocation intervals,
-// slice length) — see TransplantSlices — so segment equality follows
-// from those checks and never has to be re-derived from the index
-// itself. prevBytes must be prev's exact encoding (its length is
-// verified against prev.EncodedSize()); on any mismatch the call
-// degrades to a full encode.
-func (t *Table) AppendEncodedReusing(dst []byte, prev *Table, prevBytes []byte) ([]byte, error) {
-	if prev == nil || prev.Len != t.Len || len(prev.Cores) != len(t.Cores) ||
-		len(prevBytes) != prev.EncodedSize() {
-		prev, prevBytes = nil, nil
-	}
-	return t.appendEncodedReusing(dst, prev, prevBytes, false)
-}
-
+// appendEncodedReusing is the one encoder behind the Append* variants.
+// A non-nil prev is only ever passed with compact set.
 func (t *Table) appendEncodedReusing(dst []byte, prev *Table, prevBytes []byte, compact bool) ([]byte, error) {
 	need := t.EncodedSize()
 	if compact {
@@ -201,14 +188,8 @@ func (t *Table) appendEncodedReusing(dst []byte, prev *Table, prevBytes []byte, 
 		ct := &t.Cores[ci]
 		if prev != nil {
 			pc := &prev.Cores[ci]
-			seg := coreEncodedSize(pc)
-			same := ct.Core == pc.Core && slices.Equal(ct.Allocs, pc.Allocs)
-			if compact {
-				seg = coreEncodedSizeCompact(pc)
-			} else {
-				same = same && ct.SliceLen == pc.SliceLen && len(ct.slices) == len(pc.slices)
-			}
-			if same {
+			seg := coreEncodedSizeCompact(pc)
+			if ct.Core == pc.Core && slices.Equal(ct.Allocs, pc.Allocs) {
 				o += copy(buf[o:], prevBytes[prevOff:prevOff+seg])
 				prevOff += seg
 				continue

@@ -2,7 +2,9 @@ package table
 
 import "testing"
 
-func BenchmarkLookup(b *testing.B) {
+// lookupTable is one core carrying four equal reservations, indexed.
+func lookupTable(tb testing.TB) *Table {
+	tb.Helper()
 	tbl := &Table{Len: 11_411_400, VCPUs: make([]VCPUInfo, 4)}
 	var allocs []Alloc
 	for i := int64(0); i < 4; i++ {
@@ -10,11 +12,16 @@ func BenchmarkLookup(b *testing.B) {
 	}
 	tbl.Cores = []CoreTable{{Core: 0, Allocs: allocs}}
 	if err := tbl.Validate(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := tbl.BuildSlices(0); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return tbl
+}
+
+func BenchmarkLookup(b *testing.B) {
+	tbl := lookupTable(b)
 	b.ResetTimer()
 	var sink int
 	for i := 0; i < b.N; i++ {
@@ -22,4 +29,14 @@ func BenchmarkLookup(b *testing.B) {
 		sink += v
 	}
 	_ = sink
+}
+
+// TestLookupAllocatesNothing: the dispatcher calls Lookup on every
+// scheduling decision, so it may not touch the heap.
+func TestLookupAllocatesNothing(t *testing.T) {
+	tbl := lookupTable(t)
+	var now int64
+	if avg := testing.AllocsPerRun(2000, func() { tbl.Lookup(0, now); now += 7919 }); avg != 0 {
+		t.Errorf("Lookup allocates %v objects per call, want 0", avg)
+	}
 }

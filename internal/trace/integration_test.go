@@ -164,7 +164,7 @@ func TestTracedRunsAreDeterministic(t *testing.T) {
 }
 
 // BenchmarkTracedMachine measures the sim hot path with tracing on and
-// off; the delta is the tracer's overhead (gated in CI via benchdiff).
+// off; the delta is the tracer's overhead.
 // The horizon is long relative to machine construction and ring
 // allocation so the per-event emit cost, not setup, is what's compared.
 func BenchmarkTracedMachine(b *testing.B) {

@@ -25,7 +25,6 @@ type Metrics struct {
 	PlansScratch     int64
 	PlansCached      int64
 	PlansIncremental int64
-	PlansSpeculative int64
 	PinnedCores      int64
 
 	// lastState/lastAt track each vCPU's current runstate for residency
@@ -112,9 +111,7 @@ func (m *Metrics) observe(r *Record) {
 			m.PlansCached++
 		case PlanOriginIncremental:
 			m.PlansIncremental++
-		case PlanOriginSpeculative:
-			m.PlansSpeculative++
-		default:
+		case PlanOriginScratch:
 			m.PlansScratch++
 		}
 		m.PinnedCores += r.Arg1

@@ -55,12 +55,13 @@ const (
 // evMax bounds the valid event type range for decoders.
 const evMax = EvPlanOrigin
 
-// Plan origins carried by EvPlanOrigin Arg0.
+// Plan origins carried by EvPlanOrigin Arg0. Value 3 was the origin of
+// a plan-ahead layer that no longer exists; it stays reserved (old dumps
+// may carry it, and it decodes as unknown) and must not be reused.
 const (
 	PlanOriginScratch     int64 = 0
 	PlanOriginCached      int64 = 1
 	PlanOriginIncremental int64 = 2
-	PlanOriginSpeculative int64 = 3
 )
 
 // PlanOriginName returns the mnemonic for an EvPlanOrigin Arg0.
@@ -72,8 +73,6 @@ func PlanOriginName(o int64) string {
 		return "cached"
 	case PlanOriginIncremental:
 		return "incremental"
-	case PlanOriginSpeculative:
-		return "speculative"
 	}
 	return "unknown"
 }

@@ -20,8 +20,7 @@ func (nullSink) PushTable(*table.Table) error { return nil }
 // without the simulator: bursts are submitted and flushed in time
 // order, exactly like the run harness does from engine callbacks. With
 // scratch set every plan is computed from nothing; otherwise the
-// production fast paths (cache, incremental replanning, speculation)
-// are armed, as in Run.
+// system replans incrementally with a slice memo, as in Run.
 func churnEpochs(t *testing.T, sc *Scenario, scratch bool) []core.Epoch {
 	t.Helper()
 	sys := core.NewSystem(sc.Cores, planner.Options{}, dispatch.Options{})
@@ -50,9 +49,6 @@ func churnEpochs(t *testing.T, sc *Scenario, scratch bool) []core.Epoch {
 	ctrl, err := core.NewController(sys, nullSink{}, res)
 	if err != nil {
 		t.Fatalf("%s: %v", sc, err)
-	}
-	if !scratch {
-		ctrl.SpeculateNext = 2
 	}
 	for i := 0; i < len(sc.Churn); {
 		j := i
@@ -83,7 +79,7 @@ func sortedGuarantees(gs []table.Guarantee) []table.Guarantee {
 
 // TestIncrementalScratchEquivalence is the satellite determinism pin:
 // over 200 seeded churn storms, the incremental pipeline (slice reuse,
-// dirty-core diffing, speculation) must commit epoch-for-epoch the same
+// dirty-core diffing) must commit epoch-for-epoch the same
 // guarantees as scratch replanning, and every incremental table must
 // pass table.Check against the scratch run's guarantees. Tables may
 // legitimately differ in layout — the pinned partition is not the WFD

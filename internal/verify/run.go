@@ -80,11 +80,10 @@ type ChurnTransition struct {
 // table dispatch delivers reservations exactly — the utilization and
 // max-gap oracles check strict inequalities, not tolerances.
 //
-// Controller-routed scenarios (spares or churn present) run with the
-// production planning fast paths armed — whole-problem cache,
-// incremental replanning, and speculative plan-ahead — so every churn
-// soak exercises exactly the pipeline a dense host would use. Churn-free
-// scenarios keep the direct System path bit-for-bit.
+// Controller-routed scenarios (spares or churn present) replan
+// incrementally over a slice memo, so every churn soak exercises
+// exactly the pipeline a dense host would use. Churn-free scenarios
+// keep the direct System path bit-for-bit.
 func Run(sc *Scenario) (*Artifacts, error) {
 	return runWith(sc, runKnobs{})
 }
@@ -105,8 +104,8 @@ type runKnobs struct {
 	shedLSFirst bool
 	// staleSlice arms the planner's UnsafeStaleSliceReuse defect.
 	staleSlice bool
-	// scratch disables the planning fast paths (cache, incremental,
-	// speculation) so every controller plan is computed from scratch.
+	// scratch disables incremental replanning and the slice memo so
+	// every controller plan is computed from scratch.
 	scratch bool
 }
 
@@ -114,8 +113,9 @@ func runWith(sc *Scenario, k runKnobs) (*Artifacts, error) {
 	sys := core.NewSystem(sc.Cores, planner.Options{}, dispatch.Options{})
 	churny := len(sc.Spares) > 0 || len(sc.Churn) > 0
 	if churny && !k.scratch {
-		// Arm the planning fast paths before the initial plan so the
-		// controller's very first flush can already diff against it.
+		// Arm incremental replanning (the cache is there for its slice
+		// memo) before the initial plan so the controller's very first
+		// flush can already diff against it.
 		sys.Cache = planner.NewCache(0)
 		sys.Incremental = true
 	}
@@ -193,10 +193,8 @@ func runWith(sc *Scenario, k runKnobs) (*Artifacts, error) {
 		}
 		ctrl.UnsafeShedLSFirst = k.shedLSFirst
 		if !k.scratch {
-			// Speculation runs synchronously so runs stay deterministic;
-			// it costs wall-clock only, never sim time. The tracer records
-			// each installed epoch's plan origin for the oracles.
-			ctrl.SpeculateNext = 2
+			// The tracer records each installed epoch's plan origin for
+			// the oracles.
 			ctrl.Tracer = tr
 			ctrl.NowFn = m.Eng.Now
 		}
