@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt staticcheck test race bench e2e e2e-fleet fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short ci
+.PHONY: build vet fmt staticcheck test race bench e2e e2e-fleet fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short ci
 
 build:
 	$(GO) build ./...
@@ -27,15 +27,17 @@ test:
 	$(GO) test ./...
 
 # The packages where concurrency now exists (the experiments worker
-# pool, the shared planner cache, the dispatcher's lock-free switch
-# board, the retrying planner client, the control plane's replan
-# queue, the fleet's lock-free headroom board) or whose invariants
-# those lean on — plus the live concurrent Place/Depart/Failover path
-# under the fleet oracle, which lives in internal/verify.
+# pool, the shared planner cache, the planner's and the table checkers'
+# scratch pools, the dispatcher's lock-free switch board, the retrying
+# planner client, the control plane's replan queue, the fleet's
+# lock-free headroom board) or whose invariants those lean on — plus the
+# live concurrent Place/Depart/Failover path under the fleet oracle,
+# which lives in internal/verify.
 race:
 	$(GO) test -race ./internal/experiments ./internal/sim ./internal/planner \
 		./internal/dispatch ./internal/faults ./internal/plannersvc ./internal/vmm \
-		./internal/trace ./internal/core ./internal/journal ./internal/fleet
+		./internal/trace ./internal/core ./internal/journal ./internal/fleet \
+		./internal/table ./internal/periodic
 	$(GO) test -race -count=3 ./internal/verify -run 'TestLiveFleetUnderOracle'
 
 # Short fuzz smoke over the untrusted-input surfaces (the binary table
@@ -114,6 +116,19 @@ tenancy-short:
 	$(GO) test -short ./internal/verify -run 'TestTenancyContinuity'
 	$(GO) test ./internal/workload -run 'TestSLOServer|TestScheduleBursts'
 
+# Plan identity and ownership gate: the planner's output is pinned byte
+# for byte (685 seeded inputs against digests taken before the planner
+# workspace existed), a Result shares nothing with the pooled workspace
+# it was planned in (scribbled workspaces, eight goroutines, -race), and
+# the allocation ceilings that say the scratch really is reused: a warm
+# small-host plan, the table checkers, a mixed-shape Place+Depart pair.
+plan-short:
+	$(GO) test ./internal/planner -run 'TestPlanDigests|TestSmallHostPlanAllocationCeiling|TestDonationLedger'
+	$(GO) test -race -count=3 ./internal/planner -run 'TestPlanResultOwnsItsMemory|TestConcurrentPlanStress|TestCacheConcurrent'
+	$(GO) test ./internal/table -run 'TestCheckAndValidateAllocateNothing'
+	$(GO) test ./internal/fleet -run 'TestMixedPlaceDepartAllocationCeiling'
+	$(GO) test ./internal/core -run 'TestCacheHitResultOwnsItsGuarantees|TestReconfigureInactiveSlotShedsNothing'
+
 # Full micro-benchmark pass over the hot-path packages.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem \
@@ -130,4 +145,4 @@ e2e:
 e2e-fleet:
 	$(GO) run ./bench -workload fleet-place-1k -trace
 
-ci: vet fmt staticcheck build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short fuzz
+ci: vet fmt staticcheck build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short fuzz

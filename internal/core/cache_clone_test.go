@@ -8,86 +8,89 @@ import (
 	"tableau/internal/planner"
 )
 
-// splitHeavySystem builds a system whose population forces C=D
-// splitting (three 2/3-utilization vCPUs on two cores): the planner
-// result then carries non-empty Tasks and Splits, the slices whose
-// cache aliasing this test pins.
-func splitHeavySystem(t *testing.T, cache *planner.Cache) *System {
-	t.Helper()
-	sys := NewSystem(2, planner.Options{}, dispatch.Options{})
-	sys.Cache = cache
-	for _, name := range []string{"a", "b", "c"} {
-		if _, err := sys.AddVM(VMConfig{
-			Name:        name,
-			Util:        Util{Num: 2, Den: 3},
-			LatencyGoal: 10_000_000,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sys
-}
-
-// TestCacheHitResultIsDeepClone pins System.plan's clone-on-hit: a
-// caller mutating every mutable slice of a Plan result — guarantees,
-// tasks, split core lists, cluster cores — must not corrupt the cached
-// Result that later cache hits are served from.
-func TestCacheHitResultIsDeepClone(t *testing.T) {
+// TestCacheHitResultOwnsItsGuarantees pins what System.Plan's result
+// owns when the planner cache served it: the guarantees (renumbered into
+// slot ids) and the table are the caller's, so writing them must not
+// reach the cached Result that later hits are served from — and the
+// renumbering itself must not have been done on the cached Result in
+// place. Tasks, Splits and ClusterCores are shared with the cache,
+// read-only.
+func TestCacheHitResultOwnsItsGuarantees(t *testing.T) {
 	cache := planner.NewCache(0)
 
-	first := splitHeavySystem(t, cache)
-	_, res1, err := first.Plan()
+	// An inactive slot in front makes slot ids differ from spec order,
+	// so an in-place renumbering of the cached guarantees would show.
+	padded := func() *System {
+		sys := NewSystem(2, planner.Options{}, dispatch.Options{})
+		sys.Cache = cache
+		if _, err := sys.AddVM(VMConfig{Name: "pad", Util: Util{Num: 1, Den: 8}, LatencyGoal: 10_000_000}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.SetActive(0, false); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b", "c"} {
+			if _, err := sys.AddVM(VMConfig{Name: name, Util: Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sys
+	}
+
+	_, res1, err := padded().Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res1.Splits) == 0 || len(res1.Tasks) == 0 {
-		t.Fatalf("population did not force splitting (splits=%d tasks=%d); the aliasing test needs those slices populated",
-			len(res1.Splits), len(res1.Tasks))
+		t.Fatalf("population did not force splitting (splits=%d tasks=%d)", len(res1.Splits), len(res1.Tasks))
 	}
-	pristine := res1.Clone()
-
-	// Trash every slice a caller can reach on the returned result.
+	for i, g := range res1.Guarantees {
+		if g.VCPU != i+1 {
+			t.Fatalf("guarantee %d names vcpu %d, want slot id %d", i, g.VCPU, i+1)
+		}
+	}
+	// Trash what the caller owns.
 	for i := range res1.Guarantees {
 		res1.Guarantees[i].VCPU = 999
 		res1.Guarantees[i].Service = -1
 	}
-	for i := range res1.Tasks {
-		res1.Tasks[i].WCET = 1
-		res1.Tasks[i].Name = "clobbered"
-	}
-	for i := range res1.Splits {
-		res1.Splits[i].VCPU = 999
-		for k := range res1.Splits[i].Cores {
-			res1.Splits[i].Cores[k] = 999
-		}
-	}
-	for i := range res1.ClusterCores {
-		res1.ClusterCores[i] = 999
-	}
+	res1.Table.Len = -1
 
-	// A second system planning the identical population must be served
-	// from the cache — and see the planner's numbers, not ours.
-	second := splitHeavySystem(t, cache)
-	_, res2, err := second.Plan()
+	// A second system planning the identical population is served from
+	// the cache — and sees the planner's numbers, not ours.
+	_, res2, err := padded().Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := cache.Stats(); hits == 0 {
-		t.Fatal("second plan did not hit the cache; the clone-on-hit property was not exercised")
+	if !res2.FromCache {
+		t.Fatal("second plan did not hit the cache; the property was not exercised")
 	}
-	if !reflect.DeepEqual(res2.Tasks, pristine.Tasks) {
-		t.Errorf("cache-served Tasks were corrupted by the first caller:\n%+v\nwant\n%+v", res2.Tasks, pristine.Tasks)
-	}
-	if !reflect.DeepEqual(res2.Splits, pristine.Splits) {
-		t.Errorf("cache-served Splits were corrupted by the first caller:\n%+v\nwant\n%+v", res2.Splits, pristine.Splits)
-	}
-	if !reflect.DeepEqual(res2.ClusterCores, pristine.ClusterCores) {
-		t.Errorf("cache-served ClusterCores were corrupted by the first caller:\n%+v\nwant\n%+v", res2.ClusterCores, pristine.ClusterCores)
-	}
-	for _, g := range res2.Guarantees {
-		if g.VCPU == 999 || g.Service < 0 {
+	for i, g := range res2.Guarantees {
+		if g.VCPU != i+1 || g.Service <= 0 {
 			t.Errorf("cache-served guarantee was corrupted by the first caller: %+v", g)
 		}
+	}
+	if res2.Table.Len <= 0 {
+		t.Errorf("cache-served table was corrupted by the first caller: Len %d", res2.Table.Len)
+	}
+
+	// The cached Result itself is still in the planner universe.
+	specs := []planner.VCPUSpec{
+		{Name: "a", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
+		{Name: "b", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
+		{Name: "c", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
+	}
+	shared, hit, err := cache.Plan(specs, planner.Options{Cores: 2})
+	if err != nil || !hit {
+		t.Fatalf("direct lookup of the cached plan: hit=%v err=%v", hit, err)
+	}
+	for i, g := range shared.Guarantees {
+		if g.VCPU != i {
+			t.Errorf("cached guarantee %d was renumbered in place: vcpu %d", i, g.VCPU)
+		}
+	}
+	if shared.FromCache || shared.Table.Generation != 1 {
+		t.Errorf("cached Result was written to: FromCache=%v Generation=%d", shared.FromCache, shared.Table.Generation)
 	}
 }
 

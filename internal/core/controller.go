@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tableau/internal/journal"
@@ -221,7 +222,8 @@ type Controller struct {
 func NewController(sys *System, sink TableSink, initial *planner.Result) (*Controller, error) {
 	c := &Controller{sys: sys, sink: sink}
 	if initial != nil {
-		ep, err := epochOf(initial.Table, initial.Guarantees, Epoch{})
+		// The caller keeps initial; the epoch gets its own guarantees.
+		ep, err := epochOf(initial.Table, slices.Clone(initial.Guarantees), Epoch{})
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +236,8 @@ func NewController(sys *System, sink TableSink, initial *planner.Result) (*Contr
 // epochOf encodes tbl as the epoch after prev. Cores whose schedules are
 // unchanged from prev have their wire segments copied instead of
 // re-encoded (verified by content comparison, so the bytes are exactly
-// what a full encode produces); a zero prev is a full encode.
+// what a full encode produces); a zero prev is a full encode. The epoch
+// takes gs over: callers hand it guarantees nothing else will write.
 func epochOf(tbl *table.Table, gs []table.Guarantee, prev Epoch) (Epoch, error) {
 	enc, err := tbl.AppendEncodedReusingCompact(nil, prev.Table, prev.Bytes)
 	if err != nil {
@@ -243,7 +246,7 @@ func epochOf(tbl *table.Table, gs []table.Guarantee, prev Epoch) (Epoch, error) 
 	return Epoch{
 		Version:    tbl.Generation,
 		Table:      tbl,
-		Guarantees: append([]table.Guarantee(nil), gs...),
+		Guarantees: gs,
 		Bytes:      enc,
 	}, nil
 }
@@ -284,6 +287,7 @@ func (s *System) journalRecordLocked(ep Epoch) *journal.EpochRecord {
 		Version:    ep.Version,
 		Guarantees: ep.Guarantees,
 		TableBytes: ep.Bytes,
+		Slots:      make([]journal.SlotConfig, 0, len(s.slots)),
 	}
 	for _, sl := range s.slots {
 		rec.Slots = append(rec.Slots, journal.SlotConfig{
@@ -373,8 +377,9 @@ func (c *Controller) ControllerStats() Stats {
 //
 //  1. snapshot the population;
 //  2. apply ops in arrival order, pre-checking utilization admission
-//     after each utilization-adding op — an inadmissible op is undone
-//     and rejected individually, the batch continues;
+//     after each op that adds utilization to the active population — an
+//     inadmissible op is undone and rejected individually, the batch
+//     continues;
 //  3. one planner invocation for the whole batch. If planning fails
 //     (placement can be infeasible past the utilization bound), shed
 //     the most recent utilization-adding op and retry; when nothing is
@@ -398,8 +403,10 @@ func (c *Controller) Flush() (*Transition, error) {
 	if c.closed {
 		return nil, fmt.Errorf("core: controller closed")
 	}
+	// mu is held until Flush returns, so nothing can be queued behind
+	// the batch while it is being read: the queue keeps its array.
 	ops := c.pending
-	c.pending = nil
+	c.pending = c.pending[:0]
 	if len(ops) == 0 {
 		return nil, nil
 	}
@@ -417,7 +424,7 @@ func (c *Controller) Flush() (*Transition, error) {
 		c.stats.Rejections++
 	}
 
-	var applied []Op
+	applied := make([]Op, 0, len(ops))
 	for _, op := range ops {
 		switch op.Kind {
 		case OpFailCore:
@@ -468,6 +475,14 @@ func (c *Controller) Flush() (*Transition, error) {
 			if err := s.reconfigureLocked(op.Slot, op.Util, op.LatencyGoal); err != nil {
 				s.slots[op.Slot].cfg = prev
 				reject(op, err)
+				continue
+			}
+			// Reconfiguring an inactive slot leaves the active population
+			// as it was, so there is nothing to admit and nobody to shed:
+			// the activation that follows is where the new reservation
+			// meets the all-or-nothing admission check.
+			if !s.slots[op.Slot].active {
+				applied = append(applied, op)
 				continue
 			}
 			if err := c.admitLocked(); err != nil {

@@ -448,3 +448,55 @@ func TestMaxHistoryBounds(t *testing.T) {
 		t.Fatalf("current epoch diverged: %d vs %d", ctrl.Epoch().Version, full.Epoch().Version)
 	}
 }
+
+// TestReconfigureInactiveSlotShedsNothing: reconfiguring an inactive
+// slot does not change the active population, so it must not run
+// admission — on a degraded host whose emergency replan was inadmissible
+// and rolled back, that no-op used to "fail" admission and shed an
+// active best-effort guest on its behalf.
+func TestReconfigureInactiveSlotShedsNothing(t *testing.T) {
+	s := NewSystem(2, planner.Options{}, dispatch.Options{})
+	for i, cfg := range []VMConfig{
+		{Name: "ls0", Util: Util{Num: 1, Den: 4}, LatencyGoal: 20_000_000},
+		{Name: "ls1", Util: Util{Num: 1, Den: 4}, LatencyGoal: 20_000_000},
+		{Name: "be0", Util: Util{Num: 1, Den: 2}, LatencyGoal: 20_000_000, Class: BE},
+		{Name: "be1", Util: Util{Num: 1, Den: 2}, LatencyGoal: 20_000_000, Class: BE},
+		{Name: "free", Util: Util{Num: 1, Den: 4}, LatencyGoal: 20_000_000},
+	} {
+		if _, err := s.AddVM(cfg); err != nil {
+			t.Fatalf("slot %d: %v", i, err)
+		}
+	}
+	if err := s.SetActive(4, false); err != nil {
+		t.Fatal(err)
+	}
+	d, res, err := s.BuildDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachMachine(s, d)
+	ctrl, err := NewController(s, d, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Losing a core leaves 3/2 reserved on one survivor: the emergency
+	// replan is inadmissible and rolls back, the population stands.
+	ctrl.Submit(Op{Kind: OpFailCore, Core: 1})
+	if tr, err := ctrl.Flush(); err == nil || !tr.RolledBack {
+		t.Fatalf("fail-stop transition = %+v, err = %v; want a rollback", tr, err)
+	}
+
+	ctrl.Submit(Op{Kind: OpReconfigure, Slot: 4, Util: Util{Num: 1, Den: 64}, LatencyGoal: 20_000_000, SetClass: true, Class: LS})
+	tr, _ := ctrl.Flush()
+	for _, op := range tr.Committed {
+		if op.Shed {
+			t.Errorf("reconfiguring an inactive slot shed an active guest: committed %v", tr.Committed)
+		}
+	}
+	for id := 0; id < 4; id++ {
+		if !s.Active(id) {
+			t.Errorf("slot %d was deactivated by a reconfigure of inactive slot 4", id)
+		}
+	}
+}

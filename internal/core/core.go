@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tableau/internal/dispatch"
@@ -109,8 +110,9 @@ type System struct {
 	// Cache, when set, memoizes planning by exact (specs, options)
 	// input — the paper's Sec. 7.1 central table cache for commonly
 	// reused configurations. Cached results are shared (possibly across
-	// systems and goroutines), so Plan works on a private copy before
-	// remapping. Set it before the first Plan. The cache's attached
+	// systems and goroutines), so Plan never writes to one: it returns a
+	// copy carrying its own guarantees and table. Set it before the
+	// first Plan. The cache's attached
 	// SliceCache is wired into every local plan, so per-core EDF
 	// simulations are memoized even when the whole problem misses — and
 	// on an Incremental system that memo is all of the cache that is
@@ -132,6 +134,16 @@ type System struct {
 	// by mu), the PlanIncremental input. Only maintained when
 	// Incremental is set.
 	prev *planner.PrevPlan
+
+	// Buffers reused from one planning step to the next, valid until the
+	// helper that fills them runs again (all under mu): the active specs
+	// and their slots, the online core ids, and the population snapshot a
+	// flush may roll back to. Whatever outlives the step — PrevPlan's
+	// specs, what a PlanFunc backend is handed — gets a private copy.
+	specs    []planner.VCPUSpec
+	specSlot []int
+	online   []int
+	snap     []slot
 }
 
 // NewSystem creates a system with the given number of guest cores.
@@ -174,15 +186,16 @@ func (s *System) FailedCores() []int {
 	return out
 }
 
-// onlineCoresLocked returns the live physical core ids in order.
+// onlineCoresLocked returns the live physical core ids in order (in
+// s.online: valid until the next call).
 func (s *System) onlineCoresLocked() []int {
-	out := make([]int, 0, s.cores)
+	s.online = s.online[:0]
 	for c := 0; c < s.cores; c++ {
 		if !s.failed[c] {
-			out = append(out, c)
+			s.online = append(s.online, c)
 		}
 	}
-	return out
+	return s.online
 }
 
 // AddVM registers a VM slot (initially active) and returns its id.
@@ -311,8 +324,10 @@ func (s *System) Config(id int) VMConfig {
 // snapshotLocked captures the population state a transactional caller
 // may need to restore: per-slot configuration and activation. Core
 // failures are facts, not transaction state, so they are not captured.
+// The capture lives in s.snap: valid until the next call.
 func (s *System) snapshotLocked() []slot {
-	return append([]slot(nil), s.slots...)
+	s.snap = append(s.snap[:0], s.slots...)
+	return s.snap
 }
 
 // restoreLocked rolls the population back to a snapshotLocked capture.
@@ -326,22 +341,24 @@ func (s *System) restoreLocked(snap []slot) {
 }
 
 // activeSpecsLocked materializes the active population as planner specs
-// plus the owning slot of each spec.
+// plus the owning slot of each spec (in s.specs and s.specSlot: valid
+// until the next call).
 func (s *System) activeSpecsLocked() (specs []planner.VCPUSpec, specSlot []int) {
+	s.specs, s.specSlot = s.specs[:0], s.specSlot[:0]
 	for id, sl := range s.slots {
 		if !sl.active {
 			continue
 		}
-		specs = append(specs, planner.VCPUSpec{
+		s.specs = append(s.specs, planner.VCPUSpec{
 			Name:        sl.cfg.Name,
 			Util:        sl.cfg.Util,
 			LatencyGoal: sl.cfg.LatencyGoal,
 			Capped:      sl.cfg.Capped,
 			Class:       sl.cfg.Class,
 		})
-		specSlot = append(specSlot, id)
+		s.specSlot = append(s.specSlot, id)
 	}
-	return specs, specSlot
+	return s.specs, s.specSlot
 }
 
 // Plan generates a scheduling table covering every slot (with
@@ -373,34 +390,47 @@ func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) 
 	if err != nil {
 		return nil, nil, err
 	}
+	if fn != nil || s.Incremental {
+		// A backend may keep what it is handed, and PrevPlan does.
+		specs = slices.Clone(specs)
+	}
 	var res *planner.Result
+	var hit bool
 	if fn != nil {
 		res, err = fn(specs, opts)
 	} else {
-		res, err = s.plan(specs, opts)
+		res, hit, err = s.plan(specs, opts)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	if s.Incremental {
-		// Capture the planner-universe result before the remap below
-		// rewrites guarantees into slot ids: it seeds the next plan's
-		// dirty-core diff. Any successful plan, local or remote, is the
-		// population the next batch perturbs.
-		s.prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res.Clone()}
+		// The planner-universe result seeds the next plan's dirty-core
+		// diff. Any successful plan, local or remote, is the population
+		// the next batch perturbs.
+		s.prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res}
 	}
 	tbl, err := s.remapLocked(res.Table, specSlot, fn == nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Remap the guarantees to slot ids as well so callers can re-check.
-	for i := range res.Guarantees {
-		res.Guarantees[i].VCPU = specSlot[res.Guarantees[i].VCPU]
+	// res itself is read-only from here on — the cache may be sharing it
+	// with other systems and s.prev diffs against it — so the caller gets
+	// a copy of the struct with the two things the slot-id universe
+	// changes: the guarantees (renumbered so callers can re-check) and
+	// the table. Everything else (Tasks, CoreTasks, Splits, ClusterCores)
+	// is shared and must not be written.
+	out := *res
+	out.Guarantees = make([]table.Guarantee, len(res.Guarantees))
+	for i, g := range res.Guarantees {
+		g.VCPU = specSlot[g.VCPU]
+		out.Guarantees[i] = g
 	}
 	s.generation++
 	tbl.Generation = s.generation
-	res.Table = tbl
-	return tbl, res, nil
+	out.Table = tbl
+	out.FromCache = hit
+	return tbl, &out, nil
 }
 
 // affinityForLocked narrows the configured physical-core affinity sets
@@ -477,25 +507,19 @@ func (s *System) planOptsLocked(specs []planner.VCPUSpec) (planner.Options, erro
 // exact population almost never recurs, so there is nothing to look up
 // (only the cache's slice memo is used, through opts.Slices). A system
 // with a cache but no incremental mode asks the cache, which plans on a
-// miss; the shared Result is deep-cloned because planLocked remaps
-// guarantees into the slot-id universe and callers may rewrite Tasks and
-// Splits, none of which may reach the copy other cache users share.
-// Otherwise every plan is from scratch.
-func (s *System) plan(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
+// miss; hit reports a served lookup. Otherwise every plan is from
+// scratch. The Result may be shared (with other users of the cache, with
+// s.prev): planLocked treats it as read-only.
+func (s *System) plan(specs []planner.VCPUSpec, opts planner.Options) (res *planner.Result, hit bool, err error) {
 	switch {
 	case s.Incremental:
-		return planner.PlanIncremental(specs, opts, s.prev)
+		res, err = planner.PlanIncremental(specs, opts, s.prev)
 	case s.Cache != nil:
-		shared, hit, err := s.Cache.Plan(specs, opts)
-		if err != nil {
-			return nil, err
-		}
-		res := shared.Clone()
-		res.FromCache = hit
-		return res, nil
+		res, hit, err = s.Cache.Plan(specs, opts)
 	default:
-		return planner.Plan(specs, opts)
+		res, err = planner.Plan(specs, opts)
 	}
+	return res, hit, err
 }
 
 // remapLocked rewrites a planner table (vCPU ids = active-spec order,
@@ -539,19 +563,26 @@ func (s *System) remapLocked(in *table.Table, specSlot []int, trusted bool) (*ta
 	for c := range out.Cores {
 		out.Cores[c].Core = c
 	}
+	// One backing for every core's allocations: an epoch's table lives
+	// and dies as a whole.
+	total := 0
+	for c := range in.Cores {
+		total += len(in.Cores[c].Allocs)
+	}
+	backing := make([]table.Alloc, 0, total)
 	transplanted := true
 	for c := range in.Cores {
 		src := &in.Cores[c]
 		phys := online[src.Core]
 		dst := &out.Cores[phys]
-		dst.Allocs = make([]table.Alloc, len(src.Allocs))
-		for i, a := range src.Allocs {
-			v := a.VCPU
-			if v != table.Idle {
-				v = specSlot[v]
+		n := len(backing)
+		for _, a := range src.Allocs {
+			if a.VCPU != table.Idle {
+				a.VCPU = specSlot[a.VCPU]
 			}
-			dst.Allocs[i] = table.Alloc{Start: a.Start, End: a.End, VCPU: v}
+			backing = append(backing, a)
 		}
+		dst.Allocs = backing[n:len(backing):len(backing)]
 		if !dst.TransplantSlices(src) {
 			transplanted = false
 		}

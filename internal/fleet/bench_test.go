@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 // long-lived fleet would make B/op drift with b.N; the fleet is
 // rebuilt outside the timer every few thousand iterations to keep the
 // measurement stationary.
-func BenchmarkFleetPlace(b *testing.B) { benchFleetPlace(b, 32) }
+func BenchmarkFleetPlace(b *testing.B) { benchFleetPlace(b, 32, oneShapeVM) }
 
 // BenchmarkFleetPlaceScaling is BenchmarkFleetPlace at fleet sizes
 // where O(hosts) work per placement would show — the 32-host sibling is
@@ -31,15 +32,41 @@ func BenchmarkFleetPlace(b *testing.B) { benchFleetPlace(b, 32) }
 // records the before/after).
 func BenchmarkFleetPlaceScaling(b *testing.B) {
 	for _, hosts := range []int{256, 1000, 4000} {
-		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) { benchFleetPlace(b, hosts) })
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) { benchFleetPlace(b, hosts, oneShapeVM) })
 	}
 }
 
-func benchFleetPlace(b *testing.B, hosts int) {
-	cache := planner.NewCache(4096)
-	vm := func(name string) VM {
-		return VM{Name: name, Util: planner.Util{Num: 1, Den: 8}, LatencyGoal: 20_000_000}
+// BenchmarkFleetPlaceMixed is the 1000-host sibling on the end-to-end
+// benchmark's VM mix (four sizes, three latency goals, a quarter
+// best-effort). The one-shape siblings place the same VM every time, so
+// each host's population recurs and every plan is a cache hit; with the
+// mix a host's exact population almost never recurs and nearly every
+// commit plans from scratch — the cost a mixed-shape Place actually
+// pays, which the siblings cannot see.
+func BenchmarkFleetPlaceMixed(b *testing.B) {
+	benchFleetPlace(b, 1000, mixedShapeVMs(1))
+}
+
+// mixedShapeVMs draws VMs from the end-to-end benchmark's mix.
+func mixedShapeVMs(seed int64) func(name string) VM {
+	rng := rand.New(rand.NewSource(seed))
+	utils := []planner.Util{{Num: 1, Den: 16}, {Num: 1, Den: 8}, {Num: 1, Den: 4}, {Num: 1, Den: 2}}
+	goals := []int64{5_000_000, 10_000_000, 20_000_000}
+	return func(name string) VM {
+		vm := VM{Name: name, Util: utils[rng.Intn(len(utils))], LatencyGoal: goals[rng.Intn(len(goals))]}
+		if rng.Intn(4) == 0 {
+			vm.Class = planner.BE
+		}
+		return vm
 	}
+}
+
+func oneShapeVM(name string) VM {
+	return VM{Name: name, Util: planner.Util{Num: 1, Den: 8}, LatencyGoal: 20_000_000}
+}
+
+func benchFleetPlace(b *testing.B, hosts int, vm func(name string) VM) {
+	cache := planner.NewCache(4096)
 	var (
 		a         *Arbiter
 		live      []string // FIFO of in-flight names

@@ -312,3 +312,42 @@ func TestPlaceBatchDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("storm script exercised nothing: %+v", s1)
 	}
 }
+
+// TestMixedPlaceDepartAllocationCeiling pins what a placement costs in
+// garbage when it has to plan: on a filled 64-host fleet, one Place of a
+// VM from the benchmark's mix (nearly always a whole-plan cache miss)
+// and one Depart stay under 150 objects together — the two plans'
+// Results, the two epochs, the cache entries and the ledger, and no
+// planner scratch.
+func TestMixedPlaceDepartAllocationCeiling(t *testing.T) {
+	a := testArbiter(t, Config{Hosts: 64, Cores: 8, Placers: 8, SpareHosts: 4, MaxAttempts: 4, Cache: planner.NewCache(4096)})
+	vm := mixedShapeVMs(1)
+	var live []string
+	for i := 0; i < 64*25/4; i++ {
+		name := fmt.Sprintf("w%d", i)
+		if _, err := a.Place(vm(name)); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, name)
+	}
+	const runs = 300
+	arrivals := make([]VM, 0, runs+1) // AllocsPerRun warms up with one extra run
+	for i := 0; i <= runs; i++ {
+		arrivals = append(arrivals, vm(fmt.Sprintf("v%d", i)))
+		live = append(live, arrivals[i].Name)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := a.Place(arrivals[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Depart(live[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 150 {
+		t.Errorf("a mixed-shape Place+Depart pair allocates %.0f objects, ceiling 150", allocs)
+	}
+	t.Logf("%.0f objects per pair", allocs)
+}

@@ -281,9 +281,18 @@ func (h *Host) CommitPlacements(expect uint64, vms []VM) (CommitResult, error) {
 		return CommitResult{Version: h.version}, ErrConflict
 	}
 	res := CommitResult{Version: h.version}
-	var ops []core.Op
-	var taken []int // slots handed out, in vm order
-	slotVM := make(map[int]VM)
+	// The live protocol commits one VM at a time: size the scratch for
+	// that on the stack and let a batch grow it.
+	type pick struct {
+		slot int
+		vm   VM
+	}
+	var (
+		opsBuf   [2]core.Op
+		takenBuf [1]pick
+	)
+	ops := opsBuf[:0]
+	taken := takenBuf[:0] // slots handed out, in vm order
 	for _, vm := range vms {
 		spec := planner.VCPUSpec{Name: vm.Name, Util: vm.Util, LatencyGoal: vm.LatencyGoal, Capped: true, Class: vm.Class}
 		if err := spec.Validate(); err != nil {
@@ -300,8 +309,7 @@ func (h *Host) CommitPlacements(expect uint64, vms []VM) (CommitResult, error) {
 		}
 		slot := h.free[len(h.free)-1]
 		h.free = h.free[:len(h.free)-1]
-		taken = append(taken, slot)
-		slotVM[slot] = vm
+		taken = append(taken, pick{slot, vm})
 		// SetClass rides the reconfigure: slots are recycled across guest
 		// generations, so the class must be restamped even back to LS.
 		ops = append(ops,
@@ -320,37 +328,30 @@ func (h *Host) CommitPlacements(expect uint64, vms []VM) (CommitResult, error) {
 		// takes the host down — the caller retries elsewhere; any other
 		// rollback reports every attempted VM rejected.
 		for i := len(taken) - 1; i >= 0; i-- {
-			h.free = append(h.free, taken[i])
+			h.free = append(h.free, taken[i].slot)
 		}
 		if errors.Is(err, faults.ErrCrashed) {
 			h.markDownLocked()
 			return CommitResult{Version: h.version}, ErrHostDown
 		}
-		for _, slot := range taken {
-			res.Rejects = append(res.Rejects, Reject{VM: slotVM[slot], Err: err})
+		for _, p := range taken {
+			res.Rejects = append(res.Rejects, Reject{VM: p.vm, Err: err})
 		}
 		return res, nil
 	}
-	rejected := make(map[int]error)
-	for _, rj := range tr.Rejected {
-		if rj.Op.Kind == core.OpActivate {
-			rejected[rj.Op.Slot] = rj.Err
-		}
-	}
-	for _, slot := range taken {
-		vm := slotVM[slot]
-		if rerr, ok := rejected[slot]; ok {
+	for _, p := range taken {
+		if rerr := activateRejection(tr, p.slot); rerr != nil {
 			// Admission (or shed) refused the activate; its paired
 			// reconfigure may have committed on the inactive slot, which
 			// is harmless — the next occupant reconfigures it again.
-			h.free = append(h.free, slot)
-			res.Rejects = append(res.Rejects, Reject{VM: vm, Err: rerr})
+			h.free = append(h.free, p.slot)
+			res.Rejects = append(res.Rejects, Reject{VM: p.vm, Err: rerr})
 			continue
 		}
-		h.vmSlot[vm.Name] = slot
-		h.slotGuest[slot] = vm
-		h.usedPPM += vm.ppm()
-		res.Placed = append(res.Placed, vm.Name)
+		h.vmSlot[p.vm.Name] = p.slot
+		h.slotGuest[p.slot] = p.vm
+		h.usedPPM += p.vm.ppm()
+		res.Placed = append(res.Placed, p.vm.Name)
 	}
 	// Release the slots of any best-effort guests the controller shed to
 	// admit this batch: a Shed-marked deactivation is a committed,
@@ -374,16 +375,29 @@ func (h *Host) CommitPlacements(expect uint64, vms []VM) (CommitResult, error) {
 	}
 	if tr.Version != 0 {
 		h.version = tr.Version
+		// The transition is this commit's alone, so the ledger keeps its
+		// op list as is; the names go to the caller too, so those it copies.
 		h.ledger = append(h.ledger, Commit{
 			Seq:     h.seq(),
 			Version: tr.Version,
 			Placed:  append([]string(nil), res.Placed...),
 			Shed:    append([]string(nil), res.Shed...),
-			Ops:     append([]core.Op(nil), tr.Committed...),
+			Ops:     tr.Committed,
 		})
 	}
 	res.Version = h.version
 	return res, nil
+}
+
+// activateRejection returns the reason the flush refused to activate
+// slot, or nil if it did not.
+func activateRejection(tr *core.Transition, slot int) error {
+	for _, rj := range tr.Rejected {
+		if rj.Op.Kind == core.OpActivate && rj.Op.Slot == slot {
+			return rj.Err
+		}
+	}
+	return nil
 }
 
 // CommitDepartures atomically tears the named VMs down, under the same
@@ -402,7 +416,8 @@ func (h *Host) CommitDepartures(expect uint64, names []string) (CommitResult, er
 		return CommitResult{Version: h.version}, ErrConflict
 	}
 	res := CommitResult{Version: h.version}
-	ops := make([]core.Op, 0, len(names))
+	var opsBuf [1]core.Op // one departure at a time on the live protocol
+	ops := opsBuf[:0]
 	for _, name := range names {
 		slot, ok := h.vmSlot[name]
 		if !ok {
@@ -435,7 +450,7 @@ func (h *Host) CommitDepartures(expect uint64, names []string) (CommitResult, er
 			Seq:      h.seq(),
 			Version:  tr.Version,
 			Departed: append([]string(nil), names...),
-			Ops:      append([]core.Op(nil), tr.Committed...),
+			Ops:      tr.Committed,
 		})
 	}
 	res.Version = h.version

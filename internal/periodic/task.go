@@ -15,7 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // A Task is a periodic real-time task with a release offset and a
@@ -159,16 +160,13 @@ func (ts TaskSet) Clone() TaskSet {
 
 // SortByUtilDesc sorts the set by decreasing utilization (ties broken by
 // name for determinism), the order required by worst-fit-decreasing
-// partitioning.
+// partitioning. The sort is stable and allocates nothing.
 func (ts TaskSet) SortByUtilDesc() {
-	sort.SliceStable(ts, func(i, j int) bool {
-		// ts[i].U > ts[j].U  <=>  Ci*Tj > Cj*Ti (all positive).
-		l := ts[i].WCET * ts[j].Period
-		r := ts[j].WCET * ts[i].Period
-		if l != r {
-			return l > r
+	slices.SortStableFunc(ts, func(a, b Task) int {
+		if c := cmpUtilDesc(a, b); c != 0 {
+			return c
 		}
-		return ts[i].Name < ts[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 }
 
@@ -176,9 +174,20 @@ func (ts TaskSet) SortByUtilDesc() {
 // existing order among equal-utilization tasks (used by the planner's
 // split-rotation, which pre-rotates the slice).
 func (ts TaskSet) SortByUtilStable() {
-	sort.SliceStable(ts, func(i, j int) bool {
-		return ts[i].WCET*ts[j].Period > ts[j].WCET*ts[i].Period
-	})
+	slices.SortStableFunc(ts, cmpUtilDesc)
+}
+
+// cmpUtilDesc orders a before b when a's utilization is larger:
+// Ua > Ub  <=>  Ca*Tb > Cb*Ta (all positive).
+func cmpUtilDesc(a, b Task) int {
+	l, r := a.WCET*b.Period, b.WCET*a.Period
+	switch {
+	case l > r:
+		return -1
+	case l < r:
+		return 1
+	}
+	return 0
 }
 
 // Hyperperiod returns the least common multiple of all task periods. It

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-
-	"tableau/internal/periodic"
 )
 
 // Affinity support implements the placement hook the paper calls out in
@@ -75,53 +73,6 @@ func Headroom(existing []VCPUSpec, shape VCPUSpec, opts Options, limit int) (int
 		}
 	}
 	return lo, nil
-}
-
-// partitionWFDAffine is partitionWFDRotated with per-vCPU affinity
-// restrictions.
-func partitionWFDAffine(cores []*coreState, tasks periodic.TaskSet, rotation int, allow map[int][]int) (unplaced periodic.TaskSet) {
-	if len(allow) == 0 {
-		return partitionWFDRotated(cores, tasks, rotation)
-	}
-	order := tasks.Clone()
-	if n := len(order); rotation != 0 && n > 0 {
-		r := ((rotation % n) + n) % n
-		order = append(order[r:], order[:r]...)
-		order.SortByUtilStable()
-	} else {
-		order.SortByUtilDesc()
-	}
-	for _, tk := range order {
-		if c := leastUtilizedFitAffine(cores, tk, allow); c != nil {
-			c.add(tk)
-		} else {
-			unplaced = append(unplaced, tk)
-		}
-	}
-	return unplaced
-}
-
-// leastUtilizedFitAffine is leastUtilizedFit restricted to tk's allowed
-// cores.
-func leastUtilizedFitAffine(cores []*coreState, tk periodic.Task, allow map[int][]int) *coreState {
-	idx := make([]*coreState, 0, len(cores))
-	for _, c := range cores {
-		if !c.dedicated && allowedOn(allow, tk.Group, c.id) {
-			idx = append(idx, c)
-		}
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		if c := idx[i].util.cmp(&idx[j].util); c != 0 {
-			return c < 0
-		}
-		return idx[i].id < idx[j].id
-	})
-	for _, c := range idx {
-		if c.fits(tk) {
-			return c
-		}
-	}
-	return nil
 }
 
 // affineUtilBound verifies a necessary admission condition for affinity

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -43,6 +44,28 @@ func BenchmarkCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := c.Plan(specs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSmallHostPlan is one scratch plan of a fleet host: 256 seeded
+// 8-core populations of 4-11 VMs from the fleet mix, planned in turn
+// with a warm slice memo — what a mixed-shape placement pays on every
+// whole-plan cache miss.
+func BenchmarkSmallHostPlan(b *testing.B) {
+	pops := make([][]VCPUSpec, 256)
+	opts := Options{Cores: 8, Slices: NewSliceCache(0)}
+	for i := range pops {
+		pops[i] = fleetHostSpecs(rand.New(rand.NewSource(int64(i))), 4+i%8)
+		if _, err := Plan(pops[i], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Plan(pops[i%len(pops)], opts); err != nil {
 			b.Fatal(err)
 		}
 	}

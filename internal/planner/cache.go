@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -90,12 +89,24 @@ func (c *Cache) SliceCache() *SliceCache { return c.slices }
 // excluded: a memo hit returns what a fresh simulation would, so it
 // cannot change the produced table.
 func CacheKey(specs []VCPUSpec, opts Options) string {
+	return string(appendCacheKey(make([]byte, 0, 64+32*len(specs)), specs, opts))
+}
+
+// appendCacheKey appends the canonical key to buf. It is on the replan
+// hot path (every flush of a cached system builds one): strconv appends
+// into one buffer, fmt only for the rare affinity section.
+func appendCacheKey(buf []byte, specs []VCPUSpec, opts Options) []byte {
 	opts = opts.withDefaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "c%d;t%d;q%d;s%d;ds%v;dc%v;ph%v;sc%d;sr%d|",
-		opts.Cores, opts.TableLength, opts.CoalesceThreshold, opts.MaxSlicesPerCore,
-		opts.DisableSplitting, opts.DisableClustering, opts.Peephole,
-		opts.SplitCompensationPPM, opts.SplitRotation)
+	buf = strconv.AppendInt(append(buf, 'c'), int64(opts.Cores), 10)
+	buf = strconv.AppendInt(append(buf, ";t"...), opts.TableLength, 10)
+	buf = strconv.AppendInt(append(buf, ";q"...), opts.CoalesceThreshold, 10)
+	buf = strconv.AppendInt(append(buf, ";s"...), int64(opts.MaxSlicesPerCore), 10)
+	buf = strconv.AppendBool(append(buf, ";ds"...), opts.DisableSplitting)
+	buf = strconv.AppendBool(append(buf, ";dc"...), opts.DisableClustering)
+	buf = strconv.AppendBool(append(buf, ";ph"...), opts.Peephole)
+	buf = strconv.AppendInt(append(buf, ";sc"...), opts.SplitCompensationPPM, 10)
+	buf = strconv.AppendInt(append(buf, ";sr"...), int64(opts.SplitRotation), 10)
+	buf = append(buf, '|')
 	if len(opts.Affinity) > 0 {
 		names := make([]string, 0, len(opts.Affinity))
 		for name := range opts.Affinity {
@@ -103,13 +114,10 @@ func CacheKey(specs []VCPUSpec, opts Options) string {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(&b, "a%s:%v;", name, opts.Affinity[name])
+			buf = fmt.Appendf(buf, "a%s:%v;", name, opts.Affinity[name])
 		}
-		b.WriteString("|")
+		buf = append(buf, '|')
 	}
-	// The per-spec section dominates the key and is on the replan hot
-	// path: append with strconv, not fmt.
-	buf := make([]byte, 0, 32*len(specs))
 	for _, s := range specs {
 		buf = append(buf, s.Name...)
 		buf = append(buf, ',')
@@ -129,8 +137,7 @@ func CacheKey(specs []VCPUSpec, opts Options) string {
 		}
 		buf = append(buf, ';')
 	}
-	b.Write(buf)
-	return b.String()
+	return buf
 }
 
 // resultFootprint estimates a cached result's resident bytes: the
@@ -169,9 +176,13 @@ func resultFootprint(key string, res *Result) int64 {
 // lookup that hit is about, not the cache's global counters, so it is
 // exact under concurrency. Errors are not cached.
 func (c *Cache) Plan(specs []VCPUSpec, opts Options) (res *Result, hit bool, err error) {
-	key := CacheKey(specs, opts)
+	// The key is built in the workspace the plan would use, and looked up
+	// as bytes: a hit makes no string at all.
+	ws := getWorkspace(len(specs))
+	defer putWorkspace(ws)
+	ws.key = appendCacheKey(ws.key[:0], specs, opts)
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[string(ws.key)]; ok {
 		c.order.MoveToFront(el)
 		c.hits++
 		res = el.Value.(*cacheEntry).res
@@ -180,10 +191,11 @@ func (c *Cache) Plan(specs []VCPUSpec, opts Options) (res *Result, hit bool, err
 	}
 	c.misses++
 	c.mu.Unlock()
+	key := string(ws.key) // planning reuses ws.key for the slice memo
 
 	// Plan outside the lock: planning can take milliseconds and
 	// concurrent misses for different keys should proceed in parallel.
-	res, err = Plan(specs, opts)
+	res, err = planWith(ws, specs, opts, nil)
 	if err != nil {
 		return nil, false, err
 	}

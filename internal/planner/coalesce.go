@@ -24,7 +24,8 @@ func mergeContiguous(allocs []table.Alloc) []table.Alloc {
 }
 
 // coalesceCore removes unenforceably small reservations (paper Sec. 5,
-// post-processing) from one core's allocation list:
+// post-processing) from one core's allocation list, appending the
+// result to dst and leaving allocs untouched:
 //
 //  1. contiguous same-vCPU allocations are merged;
 //  2. a sub-threshold allocation adjacent to idle time is widened into
@@ -39,14 +40,19 @@ func mergeContiguous(allocs []table.Alloc) []table.Alloc {
 // vCPU: widening a split vCPU's reservation could overlap its
 // reservation on another core, so the planner only permits widening for
 // unsplit vCPUs.
-func coalesceCore(allocs []table.Alloc, threshold, tableLen int64, mayWiden func(vcpu int) bool, donate func(vcpu int, start, end int64) bool) []table.Alloc {
-	allocs = mergeContiguous(append([]table.Alloc(nil), allocs...))
+//
+// The list only ever shrinks, so every step runs in place on the copy
+// appended to dst; the returned slice is dst extended by the result.
+func coalesceCore(dst, allocs []table.Alloc, threshold, tableLen int64, mayWiden func(vcpu int) bool, donate func(vcpu int, start, end int64) bool) []table.Alloc {
+	base := len(dst)
+	dst = append(dst, allocs...)
+	work := mergeContiguous(dst[base:])
 	if threshold <= 0 {
-		return allocs
+		return dst[:base+len(work)]
 	}
 	// Step 2: widen slivers into adjacent idle time.
-	for i := range allocs {
-		a := &allocs[i]
+	for i := range work {
+		a := &work[i]
 		if a.Len() >= threshold {
 			continue
 		}
@@ -56,8 +62,8 @@ func coalesceCore(allocs []table.Alloc, threshold, tableLen int64, mayWiden func
 		need := threshold - a.Len()
 		// Idle room after this allocation.
 		roomAfter := tableLen - a.End
-		if i+1 < len(allocs) {
-			roomAfter = allocs[i+1].Start - a.End
+		if i+1 < len(work) {
+			roomAfter = work[i+1].Start - a.End
 		}
 		grow := min64(need, roomAfter)
 		a.End += grow
@@ -66,17 +72,18 @@ func coalesceCore(allocs []table.Alloc, threshold, tableLen int64, mayWiden func
 			// Idle room before.
 			roomBefore := a.Start
 			if i > 0 {
-				roomBefore = a.Start - allocs[i-1].End
+				roomBefore = a.Start - work[i-1].End
 			}
 			grow = min64(need, roomBefore)
 			a.Start -= grow
 		}
 	}
-	allocs = mergeContiguous(allocs)
-	// Step 3: donate remaining slivers to a neighbor.
-	var out []table.Alloc
-	for i := 0; i < len(allocs); i++ {
-		a := allocs[i]
+	work = mergeContiguous(work)
+	// Step 3: donate remaining slivers to a neighbor. out trails the read
+	// position, so it is built over the entries already consumed.
+	out := work[:0]
+	for i := 0; i < len(work); i++ {
+		a := work[i]
 		if a.Len() >= threshold || donate == nil || !donate(a.VCPU, a.Start, a.End) {
 			out = append(out, a)
 			continue
@@ -84,19 +91,19 @@ func coalesceCore(allocs []table.Alloc, threshold, tableLen int64, mayWiden func
 		// Prefer the neighbor that touches the sliver; among touching
 		// neighbors, the longer one.
 		prevTouches := len(out) > 0 && out[len(out)-1].End == a.Start
-		nextTouches := i+1 < len(allocs) && allocs[i+1].Start == a.End
+		nextTouches := i+1 < len(work) && work[i+1].Start == a.End
 		switch {
-		case prevTouches && (!nextTouches || out[len(out)-1].Len() >= allocs[i+1].Len()):
+		case prevTouches && (!nextTouches || out[len(out)-1].Len() >= work[i+1].Len()):
 			out[len(out)-1].End = a.End
 		case nextTouches:
-			allocs[i+1].Start = a.Start
+			work[i+1].Start = a.Start
 		default:
 			// Isolated sliver bordered by idle on both sides would have
 			// been widened in step 2; keep it as a fallback.
 			out = append(out, a)
 		}
 	}
-	return mergeContiguous(out)
+	return dst[:base+len(mergeContiguous(out))]
 }
 
 func min64(a, b int64) int64 {

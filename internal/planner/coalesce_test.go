@@ -34,7 +34,7 @@ func TestMergeContiguous(t *testing.T) {
 func TestCoalesceWidensIntoIdle(t *testing.T) {
 	// A 5-ns sliver with idle room after it grows to the threshold.
 	in := []table.Alloc{al(0, 5, 0), al(50, 80, 1)}
-	out := coalesceCore(in, 20, 100, allowAll, donateNone)
+	out := coalesceCore(nil, in, 20, 100, allowAll, donateNone)
 	if len(out) != 2 {
 		t.Fatalf("out = %v", out)
 	}
@@ -46,7 +46,7 @@ func TestCoalesceWidensIntoIdle(t *testing.T) {
 func TestCoalesceWidensBackward(t *testing.T) {
 	// Idle room only before the sliver.
 	in := []table.Alloc{al(0, 40, 1), al(95, 100, 0)}
-	out := coalesceCore(in, 20, 100, allowAll, donateNone)
+	out := coalesceCore(nil, in, 20, 100, allowAll, donateNone)
 	if out[1].Len() != 20 || out[1].End != 100 {
 		t.Errorf("sliver not widened backward: %v", out[1])
 	}
@@ -54,7 +54,7 @@ func TestCoalesceWidensBackward(t *testing.T) {
 
 func TestCoalesceRespectsMayWiden(t *testing.T) {
 	in := []table.Alloc{al(0, 5, 0), al(50, 80, 1)}
-	out := coalesceCore(in, 20, 100, func(v int) bool { return v != 0 }, donateNone)
+	out := coalesceCore(nil, in, 20, 100, func(v int) bool { return v != 0 }, donateNone)
 	if out[0].Len() != 5 {
 		t.Errorf("split vCPU sliver was widened: %v", out[0])
 	}
@@ -63,7 +63,7 @@ func TestCoalesceRespectsMayWiden(t *testing.T) {
 func TestCoalesceDonatesToNeighbor(t *testing.T) {
 	// Sliver squeezed between two reservations; donation allowed.
 	in := []table.Alloc{al(0, 40, 1), al(40, 45, 0), al(45, 90, 2)}
-	out := coalesceCore(in, 20, 100, func(int) bool { return false }, donateAll)
+	out := coalesceCore(nil, in, 20, 100, func(int) bool { return false }, donateAll)
 	if len(out) != 2 {
 		t.Fatalf("out = %v, want sliver donated", out)
 	}
@@ -79,7 +79,7 @@ func TestCoalesceDonatesToNeighbor(t *testing.T) {
 
 func TestCoalesceKeepsSliverWhenDonationRefused(t *testing.T) {
 	in := []table.Alloc{al(0, 40, 1), al(40, 45, 0), al(45, 90, 2)}
-	out := coalesceCore(in, 20, 100, func(int) bool { return false }, donateNone)
+	out := coalesceCore(nil, in, 20, 100, func(int) bool { return false }, donateNone)
 	if len(out) != 3 {
 		t.Errorf("sliver should survive refused donation: %v", out)
 	}
@@ -87,7 +87,7 @@ func TestCoalesceKeepsSliverWhenDonationRefused(t *testing.T) {
 
 func TestCoalesceDoesNotMutateInput(t *testing.T) {
 	in := []table.Alloc{al(0, 10, 0), al(10, 20, 0)}
-	_ = coalesceCore(in, 5, 100, allowAll, donateAll)
+	_ = coalesceCore(nil, in, 5, 100, allowAll, donateAll)
 	if in[0] != (al(0, 10, 0)) || in[1] != (al(10, 20, 0)) {
 		t.Errorf("input mutated: %v", in)
 	}
@@ -95,7 +95,7 @@ func TestCoalesceDoesNotMutateInput(t *testing.T) {
 
 func TestCoalesceThresholdZeroMergesOnly(t *testing.T) {
 	in := []table.Alloc{al(0, 1, 0), al(1, 2, 0), al(5, 6, 1)}
-	out := coalesceCore(in, 0, 100, allowAll, donateAll)
+	out := coalesceCore(nil, in, 0, 100, allowAll, donateAll)
 	want := []table.Alloc{al(0, 2, 0), al(5, 6, 1)}
 	if len(out) != len(want) || out[0] != want[0] || out[1] != want[1] {
 		t.Errorf("out = %v, want %v", out, want)

@@ -38,14 +38,15 @@ type PrevPlan struct {
 	Res   *Result
 }
 
-// pinning is the planWith input derived from a PrevPlan diff.
+// pinning is the planWith input derived from a PrevPlan diff. It lives
+// in the workspace, like everything it points at except prevTable.
 type pinning struct {
 	// coreTasks[i] holds the tasks frozen onto planner core i, already
 	// renumbered into the current spec universe (Group = current spec
 	// index).
 	coreTasks []periodic.TaskSet
 	// pinnedSpec marks current spec indices whose placement is frozen.
-	pinnedSpec map[int]bool
+	pinnedSpec []bool
 	// cores counts non-empty coreTasks entries (Result.PinnedCores).
 	cores int
 	// override substitutes stale effective specs, keyed by current spec
@@ -59,8 +60,9 @@ type pinning struct {
 	// out identical additionally reuses the old slice index.
 	prevTable *table.Table
 	// renumber maps previous spec indices to current ones for every
-	// clean VM — the id translation schedule adoption applies.
-	renumber map[int]int
+	// clean VM (-1 for the rest) — the id translation schedule adoption
+	// applies.
+	renumber []int32
 }
 
 // PlanIncremental is Plan with reuse of the previous result: cores
@@ -77,15 +79,14 @@ type pinning struct {
 // admission, validation, and guarantee checks, with guarantees derived
 // from the same specs — see TestIncrementalEquivalence.
 func PlanIncremental(specs []VCPUSpec, opts Options, prev *PrevPlan) (*Result, error) {
-	pin := pinFromPrev(specs, opts, prev)
-	if pin == nil {
-		return planWith(specs, opts, nil)
+	ws := getWorkspace(len(specs))
+	defer putWorkspace(ws)
+	if pin := pinFromPrev(ws, specs, opts, prev); pin != nil {
+		if res, err := planWith(ws, specs, opts, pin); err == nil {
+			return res, nil
+		}
 	}
-	res, err := planWith(specs, opts, pin)
-	if err != nil {
-		return planWith(specs, opts, nil)
-	}
-	return res, nil
+	return planWith(ws, specs, opts, nil)
 }
 
 // pinFromPrev diffs the new planning input against the previous plan
@@ -107,7 +108,7 @@ func PlanIncremental(specs []VCPUSpec, opts Options, prev *PrevPlan) (*Result, e
 //     re-placed remainder); affinity disables pinning outright, since
 //     System renumbers affinity sets onto surviving cores and a pin
 //     would bypass that narrowing.
-func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
+func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 	if prev == nil || prev.Res == nil || len(prev.Res.CoreTasks) == 0 {
 		return nil
 	}
@@ -132,11 +133,18 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 		return nil
 	}
 
-	cur := make(map[string]int, len(specs))
+	if ws.cur == nil {
+		ws.cur = make(map[string]int, len(specs))
+	}
+	cur := ws.cur
+	defer clear(cur) // the keys would pin the caller's names
 	for i, s := range specs {
 		cur[s.Name] = i
 	}
-	clean := make(map[int]int) // prev spec index -> cur spec index
+	// clean[j] is the current index of previous spec j when it is clean.
+	ws.renumber = filled(ws.renumber, len(prev.Specs), -1)
+	clean := ws.renumber
+	nClean := 0
 	var override map[int]VCPUSpec
 	for j, p := range prev.Specs {
 		i, ok := cur[p.Name]
@@ -145,33 +153,39 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 		}
 		c := specs[i]
 		if c.Util == p.Util && c.LatencyGoal == p.LatencyGoal && c.Capped == p.Capped {
-			clean[j] = i
+			clean[j] = int32(i)
+			nClean++
 			continue
 		}
 		if opts.UnsafeStaleSliceReuse && !c.Util.IsFull() {
 			// Defect: the reconfiguration is ignored — the VM keeps its
 			// stale placement AND its stale spec, so the under-serving
 			// table still passes the planner's own final Check.
-			clean[j] = i
+			clean[j] = int32(i)
+			nClean++
 			if override == nil {
 				override = make(map[int]VCPUSpec)
 			}
 			override[i] = p
 		}
 	}
-	if len(clean) == 0 {
+	if nClean == 0 {
 		return nil
 	}
+	isClean := func(group int) bool { return group >= 0 && group < len(clean) && clean[group] >= 0 }
 
 	// A core is clean iff every task on it belongs to a clean VM.
-	coreClean := make([]bool, co.Cores)
+	ws.coreClean = sized(ws.coreClean, co.Cores)
+	coreClean := ws.coreClean
+	nTasks := 0
 	for cid, ts := range prev.Res.CoreTasks {
 		if len(ts) == 0 {
 			continue
 		}
+		nTasks += len(ts)
 		coreClean[cid] = true
 		for _, tk := range ts {
-			if _, ok := clean[tk.Group]; !ok {
+			if !isClean(tk.Group) {
 				coreClean[cid] = false
 				break
 			}
@@ -179,10 +193,16 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 	}
 	// A multi-piece (split) group is pinnable only if all its hosting
 	// cores are clean; a core hosting an unpinnable group is not pinned.
-	hostCores := make(map[int][]int) // prev group -> hosting cores
+	ws.groupDirty = sized(ws.groupDirty, len(prev.Specs))
+	groupDirty := ws.groupDirty
 	for cid, ts := range prev.Res.CoreTasks {
+		if coreClean[cid] {
+			continue
+		}
 		for _, tk := range ts {
-			hostCores[tk.Group] = append(hostCores[tk.Group], cid)
+			if tk.Group >= 0 && tk.Group < len(groupDirty) {
+				groupDirty[tk.Group] = true
+			}
 		}
 	}
 	pinnable := func(cid int) bool {
@@ -190,36 +210,39 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 			return false
 		}
 		for _, tk := range prev.Res.CoreTasks[cid] {
-			for _, host := range hostCores[tk.Group] {
-				if !coreClean[host] {
-					return false
-				}
+			if groupDirty[tk.Group] {
+				return false
 			}
 		}
 		return true
 	}
 
-	pin := &pinning{
-		coreTasks:  make([]periodic.TaskSet, co.Cores),
-		pinnedSpec: make(map[int]bool),
+	ws.coreTasks = sized(ws.coreTasks, co.Cores)
+	ws.pinnedSpec = sized(ws.pinnedSpec, len(specs))
+	if cap(ws.pinned) < nTasks {
+		ws.pinned = make(periodic.TaskSet, 0, nTasks)
+	}
+	ws.pinned = ws.pinned[:0]
+	ws.pin = pinning{
+		coreTasks:  ws.coreTasks,
+		pinnedSpec: ws.pinnedSpec,
 		override:   override,
 		prevTable:  prev.Res.Table,
 		renumber:   clean,
 	}
+	pin := &ws.pin
 	for cid, ts := range prev.Res.CoreTasks {
 		if len(ts) == 0 || !pinnable(cid) {
 			continue
 		}
-		pinned := make(periodic.TaskSet, len(ts))
-		for k, tk := range ts {
-			tk.Group = clean[tk.Group]
-			pinned[k] = tk
-		}
-		pin.coreTasks[cid] = pinned
-		pin.cores++
-		for _, tk := range pinned {
+		n := len(ws.pinned)
+		for _, tk := range ts {
+			tk.Group = int(clean[tk.Group])
+			ws.pinned = append(ws.pinned, tk)
 			pin.pinnedSpec[tk.Group] = true
 		}
+		pin.coreTasks[cid] = ws.pinned[n:len(ws.pinned):len(ws.pinned)]
+		pin.cores++
 	}
 	if pin.cores == 0 {
 		return nil
@@ -228,65 +251,57 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 }
 
 // renumberAllocs maps a previous plan's final core schedule into the
-// current spec universe: intervals are copied byte-for-byte, vCPU ids
-// are translated through renum (Idle passes through). ok is false if
-// any id has no translation — callers must then fall back to fresh
-// synthesis for that core rather than adopt a schedule referencing a
-// vanished VM.
-func renumberAllocs(in []table.Alloc, renum map[int]int) ([]table.Alloc, bool) {
-	out := make([]table.Alloc, len(in))
-	for i, a := range in {
+// current spec universe, appending it to dst: intervals are copied
+// byte-for-byte, vCPU ids are translated through renum (Idle passes
+// through). ok is false, and dst comes back unextended, if any id has no
+// translation — callers must then fall back to fresh synthesis for that
+// core rather than adopt a schedule referencing a vanished VM.
+func renumberAllocs(dst, in []table.Alloc, renum []int32) ([]table.Alloc, bool) {
+	base := len(dst)
+	for _, a := range in {
 		v := a.VCPU
 		if v != table.Idle {
-			nv, ok := renum[v]
-			if !ok {
-				return nil, false
+			if v < 0 || v >= len(renum) || renum[v] < 0 {
+				return dst[:base], false
 			}
-			v = nv
+			v = int(renum[v])
 		}
-		out[i] = table.Alloc{Start: a.Start, End: a.End, VCPU: v}
+		dst = append(dst, table.Alloc{Start: a.Start, End: a.End, VCPU: v})
 	}
-	return out, true
+	return dst, true
 }
 
 // seedPinned installs the pinned task sets into the core states before
 // partitioning, reconstructing the split bookkeeping for pinned C=D
-// chains. A pinned core that is now dedicated (the U=1 population in
-// front of it grew) is a conflict: the caller falls back to scratch.
-func seedPinned(cores []*coreState, pin *pinning, res *Result) error {
-	type groupAgg struct {
-		pieces int
-		cores  []int
-	}
-	byGroup := make(map[int]*groupAgg)
-	var order []int
+// chains (in the order the chains are first met, core by core). A
+// pinned core that is now dedicated (the U=1 population in front of it
+// grew) is a conflict: the caller falls back to scratch.
+func seedPinned(ws *workspace, cores []*coreState, pin *pinning, res *Result) error {
+	ws.pieces = sized(ws.pieces, len(pin.pinnedSpec))
+	ws.splitAt = sized(ws.splitAt, len(pin.pinnedSpec))
+	pieces, splitAt := ws.pieces, ws.splitAt
 	for cid, ts := range pin.coreTasks {
-		if len(ts) == 0 {
-			continue
-		}
-		c := cores[cid]
-		if c.dedicated {
+		if len(ts) > 0 && cores[cid].dedicated {
 			return fmt.Errorf("planner: pinned core %d is now dedicated", cid)
 		}
 		for _, tk := range ts {
-			c.add(tk)
-			g := byGroup[tk.Group]
-			if g == nil {
-				g = &groupAgg{}
-				byGroup[tk.Group] = g
-				order = append(order, tk.Group)
-			}
-			g.pieces++
-			g.cores = append(g.cores, cid)
+			pieces[tk.Group]++
 		}
 	}
-	for _, grp := range order {
-		g := byGroup[grp]
-		if g.pieces < 2 {
-			continue
+	for cid, ts := range pin.coreTasks {
+		for _, tk := range ts {
+			cores[cid].add(tk)
+			if pieces[tk.Group] < 2 {
+				continue
+			}
+			if splitAt[tk.Group] == 0 {
+				res.Stage = StageSemiPartitioned
+				res.Splits = append(res.Splits, SplitInfo{VCPU: tk.Group, Pieces: int(pieces[tk.Group])})
+				splitAt[tk.Group] = int32(len(res.Splits))
+			}
+			sp := &res.Splits[splitAt[tk.Group]-1]
+			sp.Cores = append(sp.Cores, cid)
 		}
-		res.Stage = StageSemiPartitioned
-		res.Splits = append(res.Splits, SplitInfo{VCPU: grp, Pieces: g.pieces, Cores: g.cores})
 	}
 	res.Incremental = true
 	res.PinnedCores = pin.cores
@@ -334,10 +349,9 @@ func NewSliceCache(maxBytes int64) *SliceCache {
 	}
 }
 
-// sliceKey canonicalizes a core's task set down to the fields the EDF
-// simulation reads.
-func sliceKey(ts periodic.TaskSet) string {
-	buf := make([]byte, 0, len(ts)*32)
+// appendSliceKey canonicalizes a core's task set down to the fields the
+// EDF simulation reads.
+func appendSliceKey(buf []byte, ts periodic.TaskSet) []byte {
 	for _, tk := range ts {
 		buf = strconv.AppendInt(buf, tk.Offset, 10)
 		buf = append(buf, ',')
@@ -348,13 +362,14 @@ func sliceKey(ts periodic.TaskSet) string {
 		buf = strconv.AppendInt(buf, tk.Period, 10)
 		buf = append(buf, ';')
 	}
-	return string(buf)
+	return buf
 }
 
-func (sc *SliceCache) lookup(key string) (*periodic.EDFResult, bool) {
+// lookup takes the key as bytes so that a hit builds no string.
+func (sc *SliceCache) lookup(key []byte) (*periodic.EDFResult, bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if el, ok := sc.entries[key]; ok {
+	if el, ok := sc.entries[string(key)]; ok {
 		sc.order.MoveToFront(el)
 		sc.hits++
 		return el.Value.(*sliceEntry).sim, true
@@ -404,21 +419,24 @@ func (sc *SliceCache) Stats() SliceCacheStats {
 	}
 }
 
-// simulateCore runs (or recalls) one core's EDF simulation, reporting
-// whether the slice cache served it.
-func simulateCore(ts periodic.TaskSet, coreH int64, sc *SliceCache) (*periodic.EDFResult, bool, error) {
-	if sc == nil {
-		sim, err := periodic.SimulateEDF(ts, coreH)
-		return sim, false, err
+// simulateCore runs (or recalls) one core's EDF simulation over its
+// hyperperiod, leaving both in the job and reporting whether the slice
+// cache served it.
+func simulateCore(ws *workspace, j *synthJob, sc *SliceCache) (hit bool, err error) {
+	if j.coreH, err = j.tasks.Hyperperiod(); err != nil {
+		return false, err
 	}
-	key := sliceKey(ts)
-	if sim, ok := sc.lookup(key); ok {
-		return sim, true, nil
+	if sc != nil {
+		ws.key = appendSliceKey(ws.key[:0], j.tasks)
+		if j.sim, hit = sc.lookup(ws.key); hit {
+			return true, nil
+		}
 	}
-	sim, err := periodic.SimulateEDF(ts, coreH)
-	if err != nil {
-		return nil, false, err
+	if j.sim, err = periodic.SimulateEDF(j.tasks, j.coreH); err != nil {
+		return false, fmt.Errorf("planner: core %d EDF simulation failed: %w", j.core, err)
 	}
-	sc.insert(key, sim)
-	return sim, false, nil
+	if sc != nil {
+		sc.insert(string(ws.key), j.sim)
+	}
+	return false, nil
 }

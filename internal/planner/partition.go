@@ -1,7 +1,7 @@
 package planner
 
 import (
-	"sort"
+	"slices"
 
 	"tableau/internal/periodic"
 )
@@ -17,14 +17,6 @@ type coreState struct {
 	constrained bool
 	// dedicated marks a core given wholly to a U=1 vCPU.
 	dedicated bool
-}
-
-func newCoreStates(n int) []*coreState {
-	cs := make([]*coreState, n)
-	for i := range cs {
-		cs[i] = &coreState{id: i, util: zeroFrac()}
-	}
-	return cs
 }
 
 // fits reports whether adding tk keeps the core EDF-schedulable. For
@@ -58,26 +50,30 @@ func (c *coreState) add(tk periodic.Task) {
 // heuristic (paper Sec. 5): tasks in order of decreasing utilization,
 // each placed on the least-utilized core that can accept it. This
 // spreads load evenly across cores. It returns the tasks that could not
-// be placed on any core.
-func partitionWFD(cores []*coreState, tasks periodic.TaskSet) (unplaced periodic.TaskSet) {
-	return partitionWFDRotated(cores, tasks, 0)
-}
-
-// partitionWFDRotated is partitionWFD with a rotation applied to the
-// ordering of equal-utilization tasks: advancing the rotation on every
-// replan lets the population take turns bearing the risk of being the
-// task that ends up C=D-split (paper Sec. 7.5).
-func partitionWFDRotated(cores []*coreState, tasks periodic.TaskSet, rotation int) (unplaced periodic.TaskSet) {
-	order := tasks.Clone()
-	if n := len(order); rotation != 0 && n > 0 {
+// be placed on any core (a window into the workspace).
+//
+// A non-zero rotation is applied to the ordering of equal-utilization
+// tasks: advancing it on every replan lets the population take turns
+// bearing the risk of being the task that ends up C=D-split (paper
+// Sec. 7.5). allow restricts vCPUs with an affinity set to their cores
+// (nil: unrestricted).
+func partitionWFD(ws *workspace, cores []*coreState, tasks periodic.TaskSet, rotation int, allow map[int][]int) (unplaced periodic.TaskSet) {
+	n := len(tasks)
+	order := ws.order[:0]
+	if rotation != 0 && n > 0 {
 		r := ((rotation % n) + n) % n
-		order = append(order[r:], order[:r]...)
+		order = append(append(order, tasks[r:]...), tasks[:r]...)
 		order.SortByUtilStable()
 	} else {
+		order = append(order, tasks...)
 		order.SortByUtilDesc()
 	}
+	ws.order = order
+	// The unplaced are kept in place, at the front of order: by the time
+	// slot k is overwritten, task k has been read.
+	unplaced = order[:0]
 	for _, tk := range order {
-		if c := leastUtilizedFit(cores, tk); c != nil {
+		if c := leastUtilizedFit(cores, tk, allow[tk.Group]); c != nil {
 			c.add(tk)
 		} else {
 			unplaced = append(unplaced, tk)
@@ -87,24 +83,38 @@ func partitionWFDRotated(cores []*coreState, tasks periodic.TaskSet, rotation in
 }
 
 // leastUtilizedFit returns the least-utilized core on which tk fits, or
-// nil. Ties are broken by core id for determinism.
-func leastUtilizedFit(cores []*coreState, tk periodic.Task) *coreState {
-	idx := make([]*coreState, 0, len(cores))
-	for _, c := range cores {
-		if !c.dedicated {
-			idx = append(idx, c)
+// nil; ties are broken by core id for determinism. permitted, when
+// non-empty, restricts the choice to those core ids. Candidates are
+// tried in increasing (utilization, id) order without sorting: each
+// round scans for the smallest key above the last one refused, so the
+// common case — the emptiest core fits — is one pass and no scratch.
+func leastUtilizedFit(cores []*coreState, tk periodic.Task, permitted []int) *coreState {
+	var refused *coreState
+	for {
+		var best *coreState
+		for _, c := range cores {
+			if c.dedicated || (len(permitted) > 0 && !slices.Contains(permitted, c.id)) {
+				continue
+			}
+			if refused != nil && !emptierThan(refused, c) {
+				continue
+			}
+			if best == nil || emptierThan(c, best) {
+				best = c
+			}
 		}
+		if best == nil || best.fits(tk) {
+			return best
+		}
+		refused = best
 	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		if c := idx[i].util.cmp(&idx[j].util); c != 0 {
-			return c < 0
-		}
-		return idx[i].id < idx[j].id
-	})
-	for _, c := range idx {
-		if c.fits(tk) {
-			return c
-		}
+}
+
+// emptierThan is the worst-fit order: lower utilization first, then
+// lower id.
+func emptierThan(a, b *coreState) bool {
+	if c := a.util.cmp(&b.util); c != 0 {
+		return c < 0
 	}
-	return nil
+	return a.id < b.id
 }

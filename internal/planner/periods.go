@@ -110,23 +110,24 @@ func (u Util) Cost(period int64) int64 {
 // a rounded-up budget.
 //
 // The comparison is exact: 2*(1-U)*T <= L  <=>  2*(Den-Num)*T <= L*Den.
-// ok is false when even the smallest candidate period violates the goal,
-// i.e. the latency goal is too tight to be enforceable.
+// candidates must ascend, as CandidatePeriods returns them. ok is false
+// when even the smallest candidate period violates the goal, i.e. the
+// latency goal is too tight to be enforceable.
 func PickPeriod(u Util, latencyGoal int64, candidates []int64) (period int64, ok bool) {
 	if latencyGoal <= 0 {
 		return 0, false
 	}
 	slack := 2 * (u.Den - u.Num) // per unit of T, scaled by Den
+	// Guard multiplication overflow: slack <= 2*Den <= 2e6 scale,
+	// t <= ~1e8, product <= ~2e14 — safe; latencyGoal*Den may be
+	// large but callers pass goals <= seconds (1e9) and Den <= 1e6,
+	// so <= 1e15 — safe.
+	bound := latencyGoal * u.Den
+	// The candidates ascend, so those within the bound are a prefix.
+	inBound := sort.Search(len(candidates), func(i int) bool { return slack*candidates[i] > bound })
 	var fallback int64
-	for i := len(candidates) - 1; i >= 0; i-- {
+	for i := inBound - 1; i >= 0; i-- {
 		t := candidates[i]
-		// Guard multiplication overflow: slack <= 2*Den <= 2e6 scale,
-		// t <= ~1e8, product <= ~2e14 — safe; latencyGoal*Den may be
-		// large but callers pass goals <= seconds (1e9) and Den <= 1e6,
-		// so <= 1e15 — safe.
-		if slack*t > latencyGoal*u.Den {
-			continue
-		}
 		if (u.Num*t)%u.Den == 0 {
 			return t, true
 		}

@@ -3,7 +3,6 @@ package planner
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"tableau/internal/periodic"
@@ -131,7 +130,9 @@ func candidates() []int64 {
 // checked against the per-vCPU guarantees; Plan never returns an
 // unverified table.
 func Plan(specs []VCPUSpec, opts Options) (*Result, error) {
-	return planWith(specs, opts, nil)
+	ws := getWorkspace(len(specs))
+	defer putWorkspace(ws)
+	return planWith(ws, specs, opts, nil)
 }
 
 // planWith is Plan plus an optional pinning: task sets frozen onto
@@ -141,7 +142,10 @@ func Plan(specs []VCPUSpec, opts Options) (*Result, error) {
 // synthesis, coalescing, the final Check) treats them exactly like
 // freshly placed tasks. Correctness therefore never depends on the
 // pinning being fresh: the full guarantee check still gates the result.
-func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
+//
+// Every intermediate lives in ws; the Result's memory is allocated here,
+// exactly sized, and shares nothing with ws once planWith returns.
+func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 	opts = opts.withDefaults()
 	if pin != nil && len(pin.override) > 0 {
 		// The UnsafeStaleSliceReuse defect: plan against the stale specs
@@ -151,7 +155,7 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 			specs[i] = stale
 		}
 	}
-	if err := Admit(specs, opts.Cores); err != nil {
+	if err := admit(ws, specs, opts.Cores, false); err != nil {
 		return nil, err
 	}
 	if len(opts.Affinity) > 0 {
@@ -177,20 +181,21 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 		}
 	}
 	res := &Result{Stage: StagePartitioned}
-	cores := newCoreStates(opts.Cores)
+	cores := ws.coreStates(opts.Cores)
 
 	// Dedicated cores for U=1 vCPUs (paper Sec. 5: excluded from
 	// further consideration).
-	dedicatedOf := make(map[int]int) // vcpu index -> core
+	ws.dedicatedOf = filled(ws.dedicatedOf, len(specs), -1)
+	dedicatedOf := ws.dedicatedOf
 	nextDedicated := 0
-	var tasks periodic.TaskSet
+	tasks := ws.tasks[:0]
 	for i, s := range specs {
 		if s.Util.IsFull() {
 			if nextDedicated >= len(cores) {
 				return nil, fmt.Errorf("planner: not enough cores for dedicated vCPU %q", s.Name)
 			}
 			cores[nextDedicated].dedicated = true
-			dedicatedOf[i] = nextDedicated
+			dedicatedOf[i] = int32(nextDedicated)
 			nextDedicated++
 			continue
 		}
@@ -203,20 +208,21 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 		}
 		tasks = append(tasks, tk)
 	}
+	ws.tasks = tasks
 	if pin != nil {
-		if err := seedPinned(cores, pin, res); err != nil {
+		if err := seedPinned(ws, cores, pin, res); err != nil {
 			return nil, err
 		}
 	}
 
 	// Stage 1: partitioning.
-	unplaced := partitionWFDAffine(cores, tasks, opts.SplitRotation, allow)
+	unplaced := partitionWFD(ws, cores, tasks, opts.SplitRotation, allow)
 
 	// Stage 2: C=D semi-partitioning.
 	if len(unplaced) > 0 && !opts.DisableSplitting {
-		var still periodic.TaskSet
 		// Split larger tasks first: they are the hardest to place.
 		unplaced.SortByUtilDesc()
+		still := unplaced[:0]
 		for _, tk := range unplaced {
 			// Sec. 7.5: compensate a split vCPU for its migration
 			// overhead with a few extra percentage points of
@@ -276,12 +282,8 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 		res.Stage = StageClustered
 		for _, c := range clusterCores {
 			res.ClusterCores = append(res.ClusterCores, c.id)
-			c.tasks = nil // now scheduled by the cluster
+			c.tasks = c.tasks[:0] // now scheduled by the cluster
 		}
-	}
-	inCluster := make(map[int]bool)
-	for _, c := range clusterCores {
-		inCluster[c.id] = true
 	}
 
 	// Global table length: the hyperperiod of every chosen period. All
@@ -319,27 +321,35 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 		tableLen = opts.TableLength
 	}
 
-	// Materialize per-core allocation lists.
+	// Materialize per-core allocation lists. Until the copy-out at the
+	// end they are windows into the workspace.
 	tbl := &table.Table{Len: tableLen, Generation: 1}
 	tbl.Cores = make([]table.CoreTable, opts.Cores)
 	for i := range tbl.Cores {
 		tbl.Cores[i].Core = i
 	}
+	if len(specs) > 0 {
+		tbl.VCPUs = make([]table.VCPUInfo, len(specs))
+	}
 	for i := range specs {
-		tbl.VCPUs = append(tbl.VCPUs, table.VCPUInfo{
+		tbl.VCPUs[i] = table.VCPUInfo{
 			Name:           specs[i].Name,
 			Capped:         specs[i].Capped,
 			HomeCore:       -1,
 			UtilizationPPM: specs[i].Util.PPM(),
 			LatencyGoal:    specs[i].LatencyGoal,
-		})
+		}
 	}
+	ws.tiled = ws.tiled[:0]
 	for v, c := range dedicatedOf {
-		tbl.Cores[c].Allocs = []table.Alloc{{Start: 0, End: tableLen, VCPU: v}}
-		tbl.VCPUs[v].HomeCore = c
+		if c < 0 {
+			continue
+		}
+		n := len(ws.tiled)
+		ws.tiled = append(ws.tiled, table.Alloc{Start: 0, End: tableLen, VCPU: v})
+		tbl.Cores[c].Allocs = ws.tiled[n : n+1 : n+1]
+		tbl.VCPUs[v].HomeCore = int(c)
 	}
-	res.CoreTasks = make([]periodic.TaskSet, opts.Cores)
-	var jobs []synthJob
 	// Schedule adoption: a pinned core whose task set survived placement
 	// untouched (no new VM was packed onto it) reuses the previous
 	// plan's final post-coalesce schedule, renumbered into the current
@@ -348,25 +358,22 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 	// Disabled under the peephole pass, whose SwitchesSaved accounting
 	// would otherwise drift. Safety never rests on this: the final
 	// Validate + Check below gate adopted output like any other.
-	adopted := make([]bool, opts.Cores)
+	ws.adopted = sized(ws.adopted, opts.Cores)
+	adopted := ws.adopted
 	adoptable := pin != nil && !opts.Peephole && pin.prevTable != nil &&
 		pin.prevTable.Len == tableLen && len(pin.prevTable.Cores) == opts.Cores
+	ws.jobs = ws.jobs[:0]
 	for _, c := range cores {
-		if c.dedicated || inCluster[c.id] || len(c.tasks) == 0 {
-			continue
+		if len(c.tasks) == 0 {
+			continue // dedicated, cluster-scheduled, or empty
 		}
-		res.CoreTasks[c.id] = c.tasks
 		j := synthJob{core: c.id, tasks: c.tasks}
 		if adoptable && len(pin.coreTasks[c.id]) > 0 && slices.Equal(c.tasks, pin.coreTasks[c.id]) {
-			if a, ok := renumberAllocs(pin.prevTable.Cores[c.id].Allocs, pin.renumber); ok {
-				j.adopt = a
-				j.adoptFrom = &pin.prevTable.Cores[c.id]
-				adopted[c.id] = true
-			}
+			j.adoptFrom = &pin.prevTable.Cores[c.id]
 		}
-		jobs = append(jobs, j)
+		ws.jobs = append(ws.jobs, j)
 	}
-	if err := synthesizeCores(tbl, res, jobs, tableLen, opts); err != nil {
+	if err := synthesizeCores(ws, tbl, res, pin, tableLen, opts); err != nil {
 		return nil, err
 	}
 	if len(clusterSlots) > 0 {
@@ -375,46 +382,54 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 			return nil, err
 		}
 		for i, c := range clusterCores {
-			tbl.Cores[c.id].Allocs = tileSlots(clusterSlots[i], clusterTasks, clusterH, tableLen)
+			n := len(ws.tiled)
+			ws.tiled = tileSlots(ws.tiled, clusterSlots[i], clusterTasks, clusterH, tableLen)
+			tbl.Cores[c.id].Allocs = ws.tiled[n:len(ws.tiled):len(ws.tiled)]
 			res.ContextSwitches += len(clusterSlots[i]) * int(tableLen/clusterH)
 		}
 	}
 
-	// Record final tasks and per-vCPU guarantees.
-	for _, c := range cores {
-		res.Tasks = append(res.Tasks, c.tasks...)
-	}
-	res.Tasks = append(res.Tasks, clusterTasks...)
-	res.Guarantees = guaranteesFor(specs, res.Tasks, dedicatedOf, tableLen)
+	res.Guarantees = guaranteesFor(ws, specs, cores, clusterTasks, tableLen)
 
 	// Post-processing: coalesce unenforceable slivers, honoring the
-	// service guarantees.
-	splitVCPU := markSplit(tbl)
-	donated := make(map[donationKey]int64)
+	// service guarantees. Coalescing never lengthens a list, so sizing
+	// final for what it will be fed keeps every core's window in one
+	// backing.
+	splitVCPU := markSplit(ws, tbl)
+	ws.donated = ws.donated[:0]
+	toCoalesce := 0
+	for ci := range tbl.Cores {
+		if !adopted[ci] {
+			toCoalesce += len(tbl.Cores[ci].Allocs)
+		}
+	}
+	ws.final = slices.Grow(ws.final[:0], toCoalesce)
 	for ci := range tbl.Cores {
 		if adopted[ci] {
 			// The adopted schedule is the previous plan's post-coalesce
 			// output; its embedded donations are visible to later
-			// affordability checks through VCPUSlots, and pinned vCPUs
+			// affordability checks through the table, and pinned vCPUs
 			// never share donation budgets with dirty cores (a split
 			// chain pins all of its hosts or none).
 			continue
 		}
 		ct := &tbl.Cores[ci]
-		ct.Allocs = coalesceCore(ct.Allocs, opts.CoalesceThreshold, tableLen,
+		n := len(ws.final)
+		ws.final = coalesceCore(ws.final, ct.Allocs, opts.CoalesceThreshold, tableLen,
 			func(v int) bool { return !splitVCPU[v] },
 			func(v int, start, end int64) bool {
-				if !donationAffordable(tbl, res.Guarantees, donated, v, start, end) {
+				if !donationAffordable(ws, tbl, res.Guarantees, v, start, end) {
 					return false
 				}
 				// Record the (possibly multi-window) loss so later
 				// affordability checks see it.
 				g := guaranteeOf(res.Guarantees, v)
 				for w := (start / g.WindowLen) * g.WindowLen; w < end; w += g.WindowLen {
-					donated[donationKey{v, w}] += min64(end, w+g.WindowLen) - max64(start, w)
+					ws.donate(v, w, min64(end, w+g.WindowLen)-max64(start, w))
 				}
 				return true
 			})
+		ct.Allocs = ws.final[n:len(ws.final):len(ws.final)]
 	}
 
 	// Optional peephole pass: guarantee-preserving context-switch
@@ -431,7 +446,7 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 	// Home cores: the core where the vCPU has the most reserved time
 	// (the "trailing core" policy uses last-allocation cores at runtime;
 	// the static home seeds second-level membership).
-	assignHomeCores(tbl)
+	assignHomeCores(ws, tbl)
 	for v := range tbl.VCPUs {
 		tbl.VCPUs[v].Split = splitVCPU[v]
 	}
@@ -456,12 +471,52 @@ func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 			}
 		}
 	}
+	// The slice indices are the Result's from the start, and one
+	// allocation per core: TransplantSlices shares them across epochs,
+	// so a packed backing would pin every core's index of a whole old
+	// table for as long as one core's is still in use.
 	if err := tbl.BuildMissingSlices(opts.MaxSlicesPerCore); err != nil {
 		return nil, err
 	}
 	if err := tbl.Check(res.Guarantees); err != nil {
 		return nil, fmt.Errorf("planner: generated table failed guarantee check: %w", err)
 	}
+
+	// Copy out what the Result owns: one allocation backing carved per
+	// core, and one task backing shared by Tasks (every core's tasks in
+	// core order, then the cluster's) and the per-core CoreTasks windows.
+	total, nTasks := 0, len(clusterTasks)
+	for ci := range tbl.Cores {
+		total += len(tbl.Cores[ci].Allocs)
+		nTasks += len(cores[ci].tasks)
+	}
+	var backing []table.Alloc
+	if total > 0 {
+		backing = make([]table.Alloc, 0, total)
+	}
+	for ci := range tbl.Cores {
+		ct := &tbl.Cores[ci]
+		if len(ct.Allocs) == 0 {
+			ct.Allocs = nil
+			continue
+		}
+		n := len(backing)
+		backing = append(backing, ct.Allocs...)
+		ct.Allocs = backing[n:len(backing):len(backing)]
+	}
+	if nTasks > 0 {
+		res.Tasks = make(periodic.TaskSet, 0, nTasks)
+	}
+	res.CoreTasks = make([]periodic.TaskSet, opts.Cores)
+	for _, c := range cores {
+		if len(c.tasks) == 0 {
+			continue
+		}
+		n := len(res.Tasks)
+		res.Tasks = append(res.Tasks, c.tasks...)
+		res.CoreTasks[c.id] = res.Tasks[n:len(res.Tasks):len(res.Tasks)]
+	}
+	res.Tasks = append(res.Tasks, clusterTasks...)
 	res.Table = tbl
 	return res, nil
 }
@@ -482,65 +537,73 @@ func coreHosting(cores []*coreState, p periodic.Task) int {
 // tileSlots converts simulator slots (task indices into ts, covering
 // [0, srcLen)) into table allocations (vCPU indices, covering
 // [0, dstLen)) by repeating the cyclic schedule dstLen/srcLen times and
-// merging across tile seams.
-func tileSlots(slots []periodic.Slot, ts periodic.TaskSet, srcLen, dstLen int64) []table.Alloc {
+// merging across tile seams. The allocations are appended to dst.
+func tileSlots(dst []table.Alloc, slots []periodic.Slot, ts periodic.TaskSet, srcLen, dstLen int64) []table.Alloc {
+	base := len(dst)
 	reps := dstLen / srcLen
-	out := make([]table.Alloc, 0, int(reps)*len(slots))
+	dst = slices.Grow(dst, int(reps)*len(slots))
 	for r := int64(0); r < reps; r++ {
 		off := r * srcLen
 		for _, s := range slots {
 			a := table.Alloc{Start: s.Start + off, End: s.End + off, VCPU: ts[s.Task].Group}
-			if n := len(out); n > 0 && out[n-1].VCPU == a.VCPU && out[n-1].End == a.Start {
-				out[n-1].End = a.End
+			if n := len(dst); n > base && dst[n-1].VCPU == a.VCPU && dst[n-1].End == a.Start {
+				dst[n-1].End = a.End
 				continue
 			}
-			out = append(out, a)
+			dst = append(dst, a)
 		}
 	}
-	return out
+	return dst
 }
 
-// guaranteesFor derives the per-vCPU table guarantees: the summed budget
-// of the vCPU's (sub)tasks in every period window, and the latency goal
-// as the blackout bound.
-func guaranteesFor(specs []VCPUSpec, tasks periodic.TaskSet, dedicated map[int]int, tableLen int64) []table.Guarantee {
-	type agg struct {
-		service int64
-		period  int64
-	}
-	per := make(map[int]*agg)
-	for _, tk := range tasks {
-		a := per[tk.Group]
-		if a == nil {
-			a = &agg{period: tk.Period}
-			per[tk.Group] = a
+// guaranteesFor derives the per-vCPU table guarantees, in spec order:
+// the summed budget of the vCPU's (sub)tasks in every period window —
+// over every core's tasks, then the cluster's — and the latency goal as
+// the blackout bound.
+func guaranteesFor(ws *workspace, specs []VCPUSpec, cores []*coreState, clusterTasks periodic.TaskSet, tableLen int64) []table.Guarantee {
+	ws.svc, ws.period = sized(ws.svc, len(specs)), sized(ws.period, len(specs))
+	svc, period := ws.svc, ws.period
+	note := func(tk periodic.Task) {
+		if period[tk.Group] == 0 {
+			period[tk.Group] = tk.Period // the first task met names the window
 		}
-		a.service += tk.WCET
+		svc[tk.Group] += tk.WCET
 	}
-	var gs []table.Guarantee
+	for _, c := range cores {
+		for _, tk := range c.tasks {
+			note(tk)
+		}
+	}
+	for _, tk := range clusterTasks {
+		note(tk)
+	}
+	n := 0
+	for i := range specs {
+		if ws.dedicatedOf[i] >= 0 || period[i] != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	gs := make([]table.Guarantee, 0, n)
 	for i, s := range specs {
-		if _, ok := dedicated[i]; ok {
+		switch {
+		case ws.dedicatedOf[i] >= 0:
 			gs = append(gs, table.Guarantee{VCPU: i, Service: tableLen, WindowLen: tableLen, MaxBlackout: s.LatencyGoal})
-			continue
+		case period[i] != 0:
+			gs = append(gs, table.Guarantee{VCPU: i, Service: svc[i], WindowLen: period[i], MaxBlackout: s.LatencyGoal})
 		}
-		a := per[i]
-		if a == nil {
-			continue
-		}
-		gs = append(gs, table.Guarantee{VCPU: i, Service: a.service, WindowLen: a.period, MaxBlackout: s.LatencyGoal})
 	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i].VCPU < gs[j].VCPU })
 	return gs
 }
 
 // markSplit returns, per vCPU index, whether it holds reservations on
 // more than one core.
-func markSplit(tbl *table.Table) []bool {
-	coreOf := make([]int, len(tbl.VCPUs))
-	split := make([]bool, len(tbl.VCPUs))
-	for i := range coreOf {
-		coreOf[i] = -1
-	}
+func markSplit(ws *workspace, tbl *table.Table) []bool {
+	ws.coreOf = filled(ws.coreOf, len(tbl.VCPUs), -1)
+	ws.split = sized(ws.split, len(tbl.VCPUs))
+	coreOf, split := ws.coreOf, ws.split
 	for _, ct := range tbl.Cores {
 		for _, a := range ct.Allocs {
 			if a.VCPU == table.Idle {
@@ -548,21 +611,14 @@ func markSplit(tbl *table.Table) []bool {
 			}
 			switch coreOf[a.VCPU] {
 			case -1:
-				coreOf[a.VCPU] = ct.Core
-			case ct.Core:
+				coreOf[a.VCPU] = int32(ct.Core)
+			case int32(ct.Core):
 			default:
 				split[a.VCPU] = true
 			}
 		}
 	}
 	return split
-}
-
-// donationKey identifies one (vCPU, period-window) pair for donation
-// accounting during coalescing.
-type donationKey struct {
-	vcpu int
-	w    int64
 }
 
 // guaranteeOf returns the guarantee entry for the vCPU, or nil.
@@ -578,29 +634,25 @@ func guaranteeOf(gs []table.Guarantee, vcpu int) *table.Guarantee {
 // donationAffordable reports whether removing [start,end) from the
 // vCPU's reservations still leaves at least the guaranteed service in
 // the affected period window(s), accounting for losses already granted
-// to earlier donations (the donated map, keyed by vcpu and window
-// start).
-func donationAffordable(tbl *table.Table, gs []table.Guarantee, donated map[donationKey]int64, vcpu int, start, end int64) bool {
+// to earlier donations (ws.donated, by vcpu and window start).
+func donationAffordable(ws *workspace, tbl *table.Table, gs []table.Guarantee, vcpu int, start, end int64) bool {
 	g := guaranteeOf(gs, vcpu)
 	if g == nil || g.WindowLen <= 0 {
 		return false
 	}
-	slots := tbl.VCPUSlots(vcpu)
 	for w := (start / g.WindowLen) * g.WindowLen; w < end; w += g.WindowLen {
 		var svc int64
-		for _, a := range slots {
-			lo, hi := a.Start, a.End
-			if lo < w {
-				lo = w
-			}
-			if hi > w+g.WindowLen {
-				hi = w + g.WindowLen
-			}
-			if hi > lo {
-				svc += hi - lo
+		for _, ct := range tbl.Cores {
+			for _, a := range ct.Allocs {
+				if a.VCPU != vcpu {
+					continue
+				}
+				if lo, hi := max64(a.Start, w), min64(a.End, w+g.WindowLen); hi > lo {
+					svc += hi - lo
+				}
 			}
 		}
-		svc -= donated[donationKey{vcpu, w}]
+		svc -= ws.donatedIn(vcpu, w)
 		loss := min64(end, w+g.WindowLen) - max64(start, w)
 		if svc-loss < g.Service {
 			return false
@@ -619,29 +671,26 @@ func max64(a, b int64) int64 {
 // assignHomeCores sets each vCPU's HomeCore to the core holding its
 // largest total reservation (first core wins ties); vCPUs with no
 // reservation keep HomeCore -1 unless already set (dedicated).
-func assignHomeCores(tbl *table.Table) {
-	service := make([]map[int]int64, len(tbl.VCPUs))
+func assignHomeCores(ws *workspace, tbl *table.Table) {
+	nc := len(tbl.Cores)
+	ws.home = sized(ws.home, len(tbl.VCPUs)*nc)
+	service := ws.home
 	for _, ct := range tbl.Cores {
 		for _, a := range ct.Allocs {
-			if a.VCPU == table.Idle {
-				continue
+			if a.VCPU != table.Idle {
+				service[a.VCPU*nc+ct.Core] += a.Len()
 			}
-			if service[a.VCPU] == nil {
-				service[a.VCPU] = make(map[int]int64)
-			}
-			service[a.VCPU][ct.Core] += a.Len()
 		}
 	}
 	for v := range tbl.VCPUs {
-		if service[v] == nil {
-			continue
-		}
-		bestCore, bestSvc := -1, int64(-1)
-		for c, s := range service[v] {
-			if s > bestSvc || (s == bestSvc && c < bestCore) {
+		bestCore, bestSvc := -1, int64(0)
+		for c, s := range service[v*nc : (v+1)*nc] {
+			if s > bestSvc {
 				bestCore, bestSvc = c, s
 			}
 		}
-		tbl.VCPUs[v].HomeCore = bestCore
+		if bestCore >= 0 {
+			tbl.VCPUs[v].HomeCore = bestCore
+		}
 	}
 }

@@ -163,25 +163,9 @@ func (e *ErrOverUtilized) Error() string {
 // Admit validates all specs and checks the system-wide admission
 // condition sum(U) <= Cores using exact arithmetic.
 func Admit(specs []VCPUSpec, cores int) error {
-	if cores <= 0 {
-		return fmt.Errorf("planner: non-positive core count %d", cores)
-	}
-	seen := make(map[string]struct{}, len(specs))
-	total := zeroFrac()
-	for _, s := range specs {
-		if err := s.Validate(); err != nil {
-			return err
-		}
-		if _, dup := seen[s.Name]; dup {
-			return fmt.Errorf("planner: duplicate vCPU name %q", s.Name)
-		}
-		seen[s.Name] = struct{}{}
-		total.add(s.Util.Num, s.Util.Den)
-	}
-	if total.cmpInt(int64(cores)) > 0 {
-		return &ErrOverUtilized{Total: total.rat(), Cores: cores}
-	}
-	return nil
+	ws := getWorkspace(len(specs))
+	defer putWorkspace(ws)
+	return admit(ws, specs, cores, false)
 }
 
 // AdmitLS checks admission over the latency-sensitive subpopulation
@@ -191,10 +175,23 @@ func Admit(specs []VCPUSpec, cores int) error {
 // displaced to make room for another. BE specs are validated but do
 // not count against capacity here.
 func AdmitLS(specs []VCPUSpec, cores int) error {
+	ws := getWorkspace(len(specs))
+	defer putWorkspace(ws)
+	return admit(ws, specs, cores, true)
+}
+
+// admit is the one admission check: every spec valid, names distinct,
+// and the summed utilization — of the LS specs only when lsOnly — within
+// the core count.
+func admit(ws *workspace, specs []VCPUSpec, cores int, lsOnly bool) error {
 	if cores <= 0 {
 		return fmt.Errorf("planner: non-positive core count %d", cores)
 	}
-	seen := make(map[string]struct{}, len(specs))
+	if ws.seen == nil {
+		ws.seen = make(map[string]struct{}, len(specs))
+	}
+	seen := ws.seen
+	defer clear(seen) // the keys would pin the caller's names
 	total := zeroFrac()
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -204,7 +201,7 @@ func AdmitLS(specs []VCPUSpec, cores int) error {
 			return fmt.Errorf("planner: duplicate vCPU name %q", s.Name)
 		}
 		seen[s.Name] = struct{}{}
-		if s.Class != LS {
+		if lsOnly && s.Class != LS {
 			continue
 		}
 		total.add(s.Util.Num, s.Util.Den)

@@ -1,7 +1,7 @@
 package planner
 
 import (
-	"fmt"
+	"slices"
 
 	"tableau/internal/periodic"
 	"tableau/internal/table"
@@ -9,78 +9,74 @@ import (
 
 // This file is stage 4 of planning — the per-core EDF simulations that
 // materialize slice tables. Each job reads only its own core's task
-// set, and every job runs (and feeds the slice memo) before any output
-// is merged or any error returned.
+// set.
 
-// synthJob is one core's stage-4 synthesis work. When adopt is
-// non-nil the core is pinned and its previous final (post-coalesce)
-// schedule is reused verbatim: the EDF simulation still runs for the
-// preemption/switch counters (a SliceCache hit makes it nearly free),
-// but tiling is skipped and the merge installs adopt instead, then
-// transplants the slice index from adoptFrom — the adopted intervals
-// are byte-identical to the source core's, only vCPU ids differ, and
-// the index never references ids.
+// synthJob is one core's stage-4 synthesis work. When adoptFrom is
+// non-nil the core is pinned and its task set survived placement
+// untouched, so its previous final (post-coalesce) schedule is reused:
+// the EDF simulation still runs for the preemption/switch counters (a
+// SliceCache hit makes it nearly free), but tiling is skipped — the
+// allocations are adoptFrom's, renumbered, and its slice index is
+// transplanted: the adopted intervals are byte-identical to the source
+// core's, only vCPU ids differ, and the index never references ids.
 type synthJob struct {
 	core      int
 	tasks     periodic.TaskSet
-	adopt     []table.Alloc
 	adoptFrom *table.CoreTable
+
+	// Filled by the simulation pass.
+	sim   *periodic.EDFResult
+	coreH int64
 }
 
-// synthOut is one job's result, parked at the job's index until the
-// in-order merge.
-type synthOut struct {
-	allocs      []table.Alloc
-	preemptions int
-	switches    int
-	sliceHit    bool
-	err         error
-}
-
-// synthesizeCores runs every job, then merges the outputs in job order
-// into tbl and res.
-func synthesizeCores(tbl *table.Table, res *Result, jobs []synthJob, tableLen int64, opts Options) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	outs := make([]synthOut, len(jobs))
-	for i, j := range jobs {
-		o := &outs[i]
-		coreH, err := j.tasks.Hyperperiod()
+// synthesizeCores simulates every job in order, then lays every core's
+// schedule into the workspace's tiled buffer — grown once, to the sum of
+// what the simulations say each core can need — and merges the counters
+// into res. A failed simulation does not stop the rest — every core's
+// still runs and feeds the slice memo — and the first failure is what
+// the caller sees.
+func synthesizeCores(ws *workspace, tbl *table.Table, res *Result, pin *pinning, tableLen int64, opts Options) error {
+	var firstErr error
+	need := 0
+	for i := range ws.jobs {
+		j := &ws.jobs[i]
+		hit, err := simulateCore(ws, j, opts.Slices)
 		if err != nil {
-			o.err = err
+			if firstErr == nil {
+				firstErr = err
+			}
 			continue
 		}
-		sim, hit, err := simulateCore(j.tasks, coreH, opts.Slices)
-		if err != nil {
-			o.err = fmt.Errorf("planner: core %d EDF simulation failed: %w", j.core, err)
-			continue
-		}
-		o.sliceHit = hit
-		reps := int(tableLen / coreH)
-		o.preemptions = sim.Preemptions * reps
-		o.switches = sim.ContextSwitches * reps
-		if j.adopt != nil {
-			o.allocs = j.adopt
-		} else {
-			o.allocs = tileSlots(sim.Slots, j.tasks, coreH, tableLen)
-		}
-	}
-
-	for i := range outs {
-		o := &outs[i]
-		if o.err != nil {
-			return o.err
-		}
-		tbl.Cores[jobs[i].core].Allocs = o.allocs
-		if jobs[i].adopt != nil {
-			tbl.Cores[jobs[i].core].TransplantSlices(jobs[i].adoptFrom)
-		}
-		res.Preemptions += o.preemptions
-		res.ContextSwitches += o.switches
-		if o.sliceHit {
+		if hit {
 			res.SliceHits++
 		}
+		reps := int(tableLen / j.coreH)
+		res.Preemptions += j.sim.Preemptions * reps
+		res.ContextSwitches += j.sim.ContextSwitches * reps
+		if j.adoptFrom != nil {
+			need += len(j.adoptFrom.Allocs)
+		} else {
+			need += reps * len(j.sim.Slots)
+		}
+	}
+	if firstErr != nil {
+		return firstErr
+	}
+	ws.tiled = slices.Grow(ws.tiled, need)
+	for _, j := range ws.jobs {
+		ct := &tbl.Cores[j.core]
+		n := len(ws.tiled)
+		if j.adoptFrom != nil {
+			var ok bool
+			if ws.tiled, ok = renumberAllocs(ws.tiled, j.adoptFrom.Allocs, pin.renumber); ok {
+				ct.TransplantSlices(j.adoptFrom)
+				ws.adopted[j.core] = true
+			}
+		}
+		if !ws.adopted[j.core] {
+			ws.tiled = tileSlots(ws.tiled, j.sim.Slots, j.tasks, j.coreH, tableLen)
+		}
+		ct.Allocs = ws.tiled[n:len(ws.tiled):len(ws.tiled)]
 	}
 	return nil
 }

@@ -8,9 +8,12 @@
 package table
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Idle marks an interval during which no vCPU holds a reservation; the
@@ -86,6 +89,56 @@ type Table struct {
 	Generation uint64
 }
 
+// scratch holds the intermediates of Validate and Check, so that
+// checking a small table — which the planner does on every plan —
+// allocates only when it has a violation to describe. Nothing a checker
+// returns aliases it.
+type scratch struct {
+	pooled bool // drawn from the pool, and due back there
+
+	onCore   []int32   // Validate: the core each vCPU was seen on
+	seenCore []bool    // Validate: core ids already met
+	counts   []int32   // Check: allocations per vCPU
+	backing  []Alloc   // Check: every vCPU's allocations, bucket by bucket
+	buckets  [][]Alloc // Check: per-vCPU windows into backing
+	svc      []int64   // Check: service per window of one guarantee
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledVCPUs is the largest table whose checks draw their scratch
+// from the pool; a bigger table's checks make their own. Pooled memory
+// stays reachable for a collector cycle after its last use, so what the
+// pool may hold is kept to the small tables, where allocating the
+// scratch was a large part of a check.
+const maxPooledVCPUs = 32
+
+func (t *Table) getScratch() *scratch {
+	if len(t.VCPUs) > maxPooledVCPUs {
+		return new(scratch)
+	}
+	sc := scratchPool.Get().(*scratch)
+	sc.pooled = true
+	return sc
+}
+
+func putScratch(sc *scratch) {
+	if sc.pooled {
+		scratchPool.Put(sc)
+	}
+}
+
+// sized returns buf resliced to n zeroed elements, reallocating only
+// when its capacity is short.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // NumCores returns the number of physical cores the table covers.
 func (t *Table) NumCores() int { return len(t.Cores) }
 
@@ -110,12 +163,16 @@ func (t *Table) Validate() error {
 	// so the span-collection pass below runs just for them — the common
 	// all-home-core table skips it entirely, and no map is involved.
 	const multiCore = -2
-	onCore := make([]int32, len(t.VCPUs))
+	sc := t.getScratch()
+	defer putScratch(sc)
+	sc.onCore = sized(sc.onCore, len(t.VCPUs))
+	onCore := sc.onCore
 	for i := range onCore {
 		onCore[i] = -1
 	}
 	nMulti := 0
-	seenCore := make([]bool, len(t.Cores))
+	sc.seenCore = sized(sc.seenCore, len(t.Cores))
+	seenCore := sc.seenCore
 	for _, ct := range t.Cores {
 		if ct.Core < 0 || ct.Core >= len(t.Cores) {
 			return fmt.Errorf("table: core id %d out of range [0,%d)", ct.Core, len(t.Cores))
@@ -220,14 +277,19 @@ func (t *Table) buildSlices(maxSlices int, skipBuilt bool) error {
 			return fmt.Errorf("table: core %d would need %d slices (> %d); shortest allocation %d ns too small for table length %d",
 				ct.Core, n, maxSlices, shortest, t.Len)
 		}
+		// Slice si points at the first allocation ending after its start
+		// si*shortest — so allocation ai claims every unclaimed slice up to
+		// ceil(End/shortest), and what is left past the last one is idle.
+		// (CheckSlices states the same rule slice by slice.)
 		ct.slices = make([]int32, n)
-		ai := 0
-		for si := int64(0); si < n; si++ {
-			sliceStart := si * shortest
-			for ai < len(ct.Allocs) && ct.Allocs[ai].End <= sliceStart {
-				ai++
+		si := int64(0)
+		for ai, a := range ct.Allocs {
+			for hi := min((a.End+shortest-1)/shortest, n); si < hi; si++ {
+				ct.slices[si] = int32(ai)
 			}
-			ct.slices[si] = int32(ai)
+		}
+		for ; si < n; si++ {
+			ct.slices[si] = int32(len(ct.Allocs))
 		}
 	}
 	return nil
@@ -419,7 +481,10 @@ func (t *Table) Check(gs []Guarantee) error {
 	// Buckets share one backing array sized by a counting pass; a
 	// vCPU's allocations arrive core by core (each core's list already
 	// start-sorted), so only multi-core vCPUs (splits) need the sort.
-	counts := make([]int32, len(t.VCPUs))
+	sc := t.getScratch()
+	defer putScratch(sc)
+	sc.counts = sized(sc.counts, len(t.VCPUs))
+	counts := sc.counts
 	total := 0
 	for _, ct := range t.Cores {
 		for _, a := range ct.Allocs {
@@ -429,8 +494,12 @@ func (t *Table) Check(gs []Guarantee) error {
 			}
 		}
 	}
-	backing := make([]Alloc, 0, total)
-	buckets := make([][]Alloc, len(t.VCPUs))
+	if cap(sc.backing) < total {
+		sc.backing = make([]Alloc, total)
+	}
+	backing := sc.backing[:0]
+	sc.buckets = sized(sc.buckets, len(t.VCPUs))
+	buckets := sc.buckets
 	off := 0
 	for v, c := range counts {
 		buckets[v] = backing[off : off : off+int(c)]
@@ -443,10 +512,10 @@ func (t *Table) Check(gs []Guarantee) error {
 			}
 		}
 	}
-	for v := range buckets {
-		s := buckets[v]
-		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Start < s[j].Start }) {
-			sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
+	byStart := func(a, b Alloc) int { return cmp.Compare(a.Start, b.Start) }
+	for _, s := range buckets {
+		if !slices.IsSortedFunc(s, byStart) {
+			slices.SortFunc(s, byStart)
 		}
 	}
 	for _, g := range gs {
@@ -465,7 +534,8 @@ func (t *Table) Check(gs []Guarantee) error {
 			}
 			// One pass over the slots, crediting each allocation to the
 			// windows it overlaps, then one pass over the windows.
-			svc := make([]int64, t.Len/g.WindowLen)
+			sc.svc = sized(sc.svc, int(t.Len/g.WindowLen))
+			svc := sc.svc
 			for _, a := range slots {
 				// Clamp to the table: Check does not assume Validate ran,
 				// and the original window scan only ever covered [0, Len).

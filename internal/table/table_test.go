@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"tableau/internal/israce"
 )
 
 func mkTable(t *testing.T, tlen int64, allocsPerCore [][]Alloc, nvcpus int) *Table {
@@ -231,5 +233,50 @@ func TestSliceCount(t *testing.T) {
 	tbl := mkTable(t, 100, [][]Alloc{{{0, 10, 0}}}, 1)
 	if got := tbl.SliceCount(); got != 10 {
 		t.Errorf("SliceCount = %d, want 10", got)
+	}
+}
+
+// TestCheckAndValidateAllocateNothing pins the checkers' pooled scratch:
+// on a valid small table — eight cores, eight vCPUs, a guarantee each —
+// neither allocates, so the planner's per-plan verification costs no
+// garbage. (Validate still builds its span map for a table with split
+// vCPUs; Check sorts a split vCPU's bucket in place and stays at zero.)
+func TestCheckAndValidateAllocateNothing(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	const tlen = 1000
+	build := func(vcpus int) (*Table, []Guarantee) {
+		var cores [][]Alloc
+		for c := 0; c < 8; c++ {
+			var as []Alloc
+			for w := int64(0); w < tlen; w += 100 {
+				// With seven vCPUs, core 7 serves vCPU 0 in the half of each
+				// window core 0 leaves it idle: a split.
+				off := int64(c/vcpus) * 50
+				as = append(as, Alloc{w + off, w + off + 40, c % vcpus})
+			}
+			cores = append(cores, as)
+		}
+		var gs []Guarantee
+		for v := 0; v < vcpus; v++ {
+			gs = append(gs, Guarantee{VCPU: v, Service: 40, WindowLen: 100, MaxBlackout: 100})
+		}
+		tbl := mkTable(t, tlen, cores, vcpus)
+		if err := tbl.Check(gs); err != nil {
+			t.Fatal(err)
+		}
+		return tbl, gs
+	}
+	tbl, gs := build(8)
+	if allocs := testing.AllocsPerRun(200, func() { _ = tbl.Validate() }); allocs != 0 {
+		t.Errorf("Validate allocates %.0f objects on a valid table, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = tbl.Check(gs) }); allocs != 0 {
+		t.Errorf("Check allocates %.0f objects on a valid table, want 0", allocs)
+	}
+	split, gs := build(7)
+	if allocs := testing.AllocsPerRun(200, func() { _ = split.Check(gs) }); allocs != 0 {
+		t.Errorf("Check allocates %.0f objects on a valid table with a split vCPU, want 0", allocs)
 	}
 }
