@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt staticcheck test race bench e2e e2e-fleet fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short ci
+.PHONY: build vet fmt staticcheck test race bench e2e e2e-fleet e2e-durable fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short ci
 
 build:
 	$(GO) build ./...
@@ -73,13 +73,18 @@ churn-short:
 	$(GO) test ./internal/experiments -run 'TestChurnChaosDeterminism' -v
 	$(GO) test -short ./internal/verify -run 'TestChurn|TestGenerateChurnShape'
 
-# Crash-recovery gate: the journal codec and crash injector test
-# suites, the ~120-scenario quick crash matrix (seeded crash storms →
-# recovery-equivalence + crash-seam oracles, zero violations), and the
-# crashchaos CSV determinism check (byte-identical across runs and
-# -parallel settings).
+# Crash-recovery gate: the journal codec, store and crash injector test
+# suites (the segment MemStore against its flat model, the FileStore's
+# failed-append rule, the Replay aliasing contract), the table decoder's
+# differential and sharing walls, the ~120-scenario quick crash matrix
+# (seeded crash storms → recovery-equivalence + crash-seam oracles, zero
+# violations), the crashchaos CSV determinism check (byte-identical
+# across runs and -parallel settings), and core's recovery tests — among
+# them the journal-image golden (formats pinned by digest) and
+# TestRecoveredHistoryEqualsLive.
 recover-short:
 	$(GO) test ./internal/journal ./internal/faults
+	$(GO) test ./internal/table -run 'TestDecode|TestEncode'
 	$(GO) test -short ./internal/verify -run 'TestCrash|TestGenerateCrashScenario|TestRunCrash'
 	$(GO) test ./internal/experiments -run 'TestCrashChaosDeterminism' -v
 	$(GO) test ./internal/core -run 'TestJournal|TestRecover|TestClose|TestAttachJournal|TestEmergencyRollback'
@@ -134,7 +139,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem \
 		./internal/sim ./internal/planner ./internal/table ./internal/dispatch \
 		./internal/stats ./internal/netdev ./internal/periodic ./internal/trace \
-		./internal/experiments ./internal/core ./internal/fleet
+		./internal/experiments ./internal/core ./internal/journal ./internal/fleet
 
 # The end-to-end benchmark BENCHMARK.json declares (bench/README.md):
 # all four workloads, about 95 s on 2 cores; e2e-fleet is the one a
@@ -145,4 +150,13 @@ e2e:
 e2e-fleet:
 	$(GO) run ./bench -workload fleet-place-1k -trace
 
-ci: vet fmt staticcheck build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short fuzz
+# The two journaled workloads at the benchmark's own length (about 16 s
+# and 19 s; a shorter run is not usable — at -seconds 1 the replicate
+# check fails on any commit). A change that breaks the benchmark's
+# build, its replicate check or its recovered-bytes check fails here
+# instead of in the pipeline.
+e2e-durable:
+	$(GO) run ./bench -workload host-replan-192
+	$(GO) run ./bench -workload fleet-durable-256
+
+ci: vet fmt staticcheck build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short fuzz e2e-durable

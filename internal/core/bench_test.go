@@ -21,7 +21,7 @@ func (benchSink) PushTable(*table.Table) error { return nil }
 // utilization with heterogeneous latency goals (5/10/20 ms, the
 // paper's tiered-SLA shape), with every slot resident so churn batches
 // can toggle the tail of the population.
-func stormRig(b *testing.B, fast bool) (*System, *Controller) {
+func stormRig(b testing.TB, fast bool) (*System, *Controller) {
 	b.Helper()
 	s := NewSystem(16, planner.Options{}, dispatch.Options{})
 	if fast {
@@ -106,5 +106,27 @@ func BenchmarkReplanStorm(b *testing.B) {
 			b.StopTimer()
 			reportPercentiles(b, lats)
 		})
+	}
+}
+
+// BenchmarkRecoverDense is one Recover of the benchmark's dense journal:
+// 101 records of the 192-VM host (the baseline plus 100 churn flushes,
+// the journal length between rotations), MaxHistory 64, from a
+// MemStore. A clean journal is not written to by Recover, so every
+// iteration replays the same store.
+func BenchmarkRecoverDense(b *testing.B) {
+	ctrl, store := denseJournaledHost(b, 1, 100)
+	live := ctrl.Epoch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc, _, rep, err := Recover(store, RecoverOptions{MaxHistory: 64, Incremental: true, Sink: benchSink{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Replayed != 101 || rep.RecoveredVersion != live.Version || len(rc.History()) != 64 {
+			b.Fatalf("recovered %d records to v%d with %d epochs, want 101 to v%d with 64",
+				rep.Replayed, rep.RecoveredVersion, len(rc.History()), live.Version)
+		}
 	}
 }

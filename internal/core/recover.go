@@ -63,6 +63,11 @@ type RecoveryReport struct {
 	// bit-for-bit against the pre-crash ground truth).
 	RecoveredVersion uint64
 	RecoveredBytes   []byte
+	// Slots is the population snapshot of that record — every slot of the
+	// pre-crash system, spares included, with the activation the journal
+	// holds. A host reconciling its own bookkeeping against the journal
+	// (fleet.Host) reads it here instead of replaying the image again.
+	Slots []journal.SlotConfig
 	// Replanned reports that ReplanTorn committed a fresh epoch on top
 	// of the recovered one; ReplanErr is why it could not (admission
 	// failure on a degraded topology, or an empty population).
@@ -79,6 +84,18 @@ type RecoveryReport struct {
 // enacting the recovered epoch's table. A torn or corrupt tail is
 // truncated from the store before the journal is re-attached, so new
 // epochs append after the last intact record.
+//
+// It is one pass over the image. The replayed records alias it; the
+// kept epochs are decoded oldest to newest, each sharing with its
+// predecessor the cores whose wire segments did not change
+// (table.DecodeBytesSharing) — what the live ring shares through the
+// incremental planner, the recovered ring shares too — and each kept
+// epoch's table bytes are copied exactly once, into the ring: an epoch
+// that aliased the image would pin all of it for as long as it
+// survives. Epochs dropped by MaxHistory are neither decoded nor
+// copied. Every table is still decoded here, in full and checked, so a
+// record that passes its CRC but holds an undecodable table fails
+// Recover rather than a later History reader.
 //
 // The returned controller owns the store (via its journal writer):
 // every post-recovery Flush appends to the same journal, and a second
@@ -109,22 +126,47 @@ func Recover(store journal.Store, opts RecoverOptions) (*Controller, *dispatch.D
 	}
 
 	// Fold the replayed records into the epoch sequence the live
-	// controller held (rollback re-commits pop their superseded tops).
-	records := journal.FoldEpochs(rep.Records)
+	// controller held (rollback re-commits pop their superseded tops),
+	// bounded like the live controller's ring.
+	keep := journal.FoldEpochs(rep.Records)
 	var maxVersion uint64
 	for _, rec := range rep.Records {
 		if rec.Version > maxVersion {
 			maxVersion = rec.Version
 		}
 	}
-	last := records[len(records)-1]
+	if max := opts.MaxHistory; max > 0 {
+		if max < 2 {
+			max = 2
+		}
+		if len(keep) > max {
+			keep = keep[len(keep)-max:]
+		}
+	}
+	history := make([]Epoch, 0, len(keep))
+	var prev Epoch
+	for _, rec := range keep {
+		tbl, err := table.DecodeBytesSharing(rec.TableBytes, prev.Table, prev.Bytes)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("core: decoding replayed epoch %d: %w", rec.Version, err)
+		}
+		// The replay is dropped when Recover returns, so the epoch takes
+		// the record's guarantees over; the bytes it copies out of the image.
+		prev = Epoch{
+			Version:    rec.Version,
+			Table:      tbl,
+			Guarantees: rec.Guarantees,
+			Bytes:      append([]byte(nil), rec.TableBytes...),
+		}
+		history = append(history, prev)
+	}
+	last := keep[len(keep)-1]
+	report.RecoveredVersion = last.Version
+	report.RecoveredBytes = append([]byte(nil), last.TableBytes...)
+	report.Slots = last.Slots
 
 	// Rebuild the population from the last record's snapshot.
-	lastTbl, err := last.Table()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: decoding recovered table (version %d): %w", last.Version, err)
-	}
-	sys := NewSystem(len(lastTbl.Cores), opts.Planner, opts.Dispatch)
+	sys := NewSystem(len(prev.Table.Cores), opts.Planner, opts.Dispatch)
 	sys.Incremental = opts.Incremental
 	for i, sc := range last.Slots {
 		class := LS
@@ -156,39 +198,6 @@ func Recover(store journal.Store, opts RecoverOptions) (*Controller, *dispatch.D
 	sys.mu.Lock()
 	sys.generation = maxVersion
 	sys.mu.Unlock()
-
-	// Rebuild the epoch ring, bounded like the live controller's.
-	keep := records
-	if max := opts.MaxHistory; max > 0 {
-		if max < 2 {
-			max = 2
-		}
-		if len(keep) > max {
-			keep = keep[len(keep)-max:]
-		}
-	}
-	history := make([]Epoch, 0, len(keep))
-	for i := range keep {
-		rec := &keep[i]
-		var tbl *table.Table
-		if rec == &keep[len(keep)-1] {
-			tbl = lastTbl
-		} else {
-			tbl, err = rec.Table()
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("core: decoding replayed epoch %d: %w", rec.Version, err)
-			}
-		}
-		history = append(history, Epoch{
-			Version:    rec.Version,
-			Table:      tbl,
-			Guarantees: append([]table.Guarantee(nil), rec.Guarantees...),
-			Bytes:      append([]byte(nil), rec.TableBytes...),
-		})
-	}
-
-	report.RecoveredVersion = history[len(history)-1].Version
-	report.RecoveredBytes = append([]byte(nil), history[len(history)-1].Bytes...)
 
 	w := journal.NewWriter(store)
 	if opts.ReplanTorn && report.TailErr != nil {

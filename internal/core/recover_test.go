@@ -3,12 +3,16 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"tableau/internal/dispatch"
 	"tableau/internal/faults"
+	"tableau/internal/israce"
 	"tableau/internal/journal"
 	"tableau/internal/planner"
+	"tableau/internal/table"
 )
 
 // journalRig is churnRig plus an attached in-memory journal (optionally
@@ -426,4 +430,128 @@ func TestEmergencyRollbackAfterMaxHistoryTrim(t *testing.T) {
 	if h := ctrl.History(); len(h) != 2 || h[1].Version != tr.Version {
 		t.Fatalf("ring did not refill: %d epochs", len(h))
 	}
+}
+
+// fixedImageStore hands Recover one known image to replay.
+type fixedImageStore struct {
+	journal.Store
+	image []byte
+}
+
+func (s fixedImageStore) Load() ([]byte, error) { return s.image, nil }
+
+// sliceIndexPtr is the address of a core's slice index (an unexported
+// field of table.CoreTable): two cores with the same one share it.
+func sliceIndexPtr(ct *table.CoreTable) uintptr {
+	return reflect.ValueOf(ct).Elem().FieldByName("slices").Pointer()
+}
+
+// TestRecoveredHistoryEqualsLive: a dense controller's recovered ring is
+// the ring that crashed — epoch by epoch the same version, bytes,
+// guarantees and table, slice index included — and it is built the way
+// the live one was: consecutive epochs share the cores that did not
+// change between them, instead of each carrying a private copy.
+func TestRecoveredHistoryEqualsLive(t *testing.T) {
+	ctrl, store := denseJournaledHost(t, 5, 150)
+	live := ctrl.History()
+	if len(live) != 64 {
+		t.Fatalf("live ring holds %d epochs, want 64", len(live))
+	}
+
+	// Recover gets a known image, so that aliasing it can be detected.
+	image, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rc, _, rep, err := Recover(fixedImageStore{store, image}, RecoverOptions{MaxHistory: 64, Incremental: true, Sink: benchSink{}})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if rep.Replayed != 151 {
+		t.Fatalf("replayed %d records, want 151", rep.Replayed)
+	}
+	recovered := rc.History()
+	if len(recovered) != len(live) {
+		t.Fatalf("recovered ring holds %d epochs, want %d", len(recovered), len(live))
+	}
+	for i := range live {
+		l, r := live[i], recovered[i]
+		if r.Version != l.Version || !bytes.Equal(r.Bytes, l.Bytes) {
+			t.Fatalf("epoch %d: recovered v%d differs from live v%d", i, r.Version, l.Version)
+		}
+		if !reflect.DeepEqual(r.Guarantees, l.Guarantees) {
+			t.Fatalf("epoch %d (v%d): guarantees differ", i, l.Version)
+		}
+		if !reflect.DeepEqual(r.Table, l.Table) {
+			t.Fatalf("epoch %d (v%d): the recovered table differs from the live one", i, l.Version)
+		}
+		if err := r.Table.CheckSlices(); err != nil {
+			t.Fatalf("epoch %d (v%d): %v", i, l.Version, err)
+		}
+	}
+	if rep.RecoveredVersion != live[63].Version || !bytes.Equal(rep.RecoveredBytes, live[63].Bytes) {
+		t.Fatalf("report names v%d, the live controller is on v%d", rep.RecoveredVersion, live[63].Version)
+	}
+	if len(rep.Slots) != 192 {
+		t.Fatalf("report carries %d slots, want 192", len(rep.Slots))
+	}
+	for slot, sc := range rep.Slots {
+		if sc.Active != ctrl.System().Active(slot) {
+			t.Fatalf("report says slot %d active = %v, the live system says %v", slot, sc.Active, !sc.Active)
+		}
+	}
+	// No epoch may alias the journal image: one survivor would pin it all.
+	lo := reflect.ValueOf(image).Pointer()
+	for i, ep := range recovered {
+		if at := reflect.ValueOf(ep.Bytes).Pointer(); at >= lo && at < lo+uintptr(len(image)) {
+			t.Fatalf("epoch %d (v%d): Bytes points into the journal image", i, ep.Version)
+		}
+	}
+	if at := reflect.ValueOf(rep.RecoveredBytes).Pointer(); at >= lo && at < lo+uintptr(len(image)) {
+		t.Fatal("RecoveredBytes points into the journal image")
+	}
+
+	// Sharing: a core whose allocations did not change from one epoch to
+	// the next is the same memory in both, allocations and index.
+	unchanged, shared, private := 0, 0, 0
+	for i := 1; i < len(recovered); i++ {
+		prev, cur := recovered[i-1].Table, recovered[i].Table
+		for ci := range cur.Cores {
+			pc, cc := &prev.Cores[ci], &cur.Cores[ci]
+			same := prev.Len == cur.Len && pc.Core == cc.Core && reflect.DeepEqual(pc.Allocs, cc.Allocs)
+			isShared := &pc.Allocs[0] == &cc.Allocs[0] && sliceIndexPtr(pc) == sliceIndexPtr(cc)
+			if same {
+				unchanged++
+			}
+			if isShared {
+				shared++
+			} else {
+				private++
+			}
+			if same != isShared {
+				t.Fatalf("epochs %d→%d core %d: unchanged = %v, shared = %v", i-1, i, ci, same, isShared)
+			}
+		}
+	}
+	t.Logf("recovered ring: %d of %d core segments shared with the epoch before (%.0f%%)",
+		shared, shared+private, 100*float64(shared)/float64(shared+private))
+	if 2*shared < shared+private {
+		t.Errorf("only %d of %d cores shared across consecutive epochs; the dense walk changes 3 of 16 cores a step", shared, shared+private)
+	}
+
+	// What the recovered controller keeps alive: 64 epochs' bytes (6 MB)
+	// and one index per changed core. Sixty-four private indices alone
+	// would be 37 MB.
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("recovered controller retains %.1f MB; one Recover allocated %.1f MB",
+		float64(retained)/(1<<20), float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+	if !israce.Enabled && retained > 24<<20 {
+		t.Errorf("the recovered controller retains %.1f MB, want under 24", float64(retained)/(1<<20))
+	}
+	runtime.KeepAlive(rc)
 }

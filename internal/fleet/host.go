@@ -242,7 +242,8 @@ type CommitResult struct {
 // died too) and append the crash seam to the ledger. The in-memory
 // batch already rolled back, so the host's maps describe exactly the
 // acked commits — the delta against the frozen image is what recovery
-// reconciles.
+// reconciles. The image is frozen once: recovery and the ledger entry
+// only read it, so they share it.
 func (h *Host) markDownLocked() {
 	h.state = HostDown
 	img, err := h.journal.Surviving()
@@ -254,7 +255,7 @@ func (h *Host) markDownLocked() {
 		Seq:     h.seq(),
 		Version: h.version,
 		Event:   "crash",
-		Image:   append([]byte(nil), img...),
+		Image:   img,
 	})
 	// The dead process's controller accepts nothing more; ignore the
 	// close error (syncing a crashed journal reports the crash).
@@ -503,7 +504,7 @@ func (h *Host) Recover() ([]string, error) {
 
 func (h *Host) recoverLocked() ([]string, error) {
 	store := faults.NewIdleCrashStore(journal.NewMemStoreFrom(h.downImage))
-	ctrl, _, _, err := core.Recover(store, core.RecoverOptions{
+	ctrl, _, rep, err := core.Recover(store, core.RecoverOptions{
 		Planner:  planner.Options{},
 		Dispatch: dispatch.Options{},
 		Sink:     nullSink{},
@@ -514,26 +515,21 @@ func (h *Host) recoverLocked() ([]string, error) {
 	sys := ctrl.System()
 	sys.Cache = h.cache
 
-	// The recovered epoch's slot activation set, independent of the
-	// in-memory maps: decode and fold the image exactly as Recover did.
-	rep, err := journal.DecodeAll(h.downImage)
-	if err != nil || len(rep.Records) == 0 {
-		return nil, fmt.Errorf("fleet: host %d image replay: %w", h.id, err)
-	}
-	folded := journal.FoldEpochs(rep.Records)
-	last := folded[len(folded)-1]
-	if len(last.Slots) != len(h.slotGuest) {
-		return nil, fmt.Errorf("fleet: host %d journal has %d slots, host has %d", h.id, len(last.Slots), len(h.slotGuest))
+	// The recovered epoch's slot activation set is the journal's word,
+	// independent of the in-memory maps.
+	slots := rep.Slots
+	if len(slots) != len(h.slotGuest) {
+		return nil, fmt.Errorf("fleet: host %d journal has %d slots, host has %d", h.id, len(slots), len(h.slotGuest))
 	}
 
 	var ghosts, freedSlots []int
 	var freedNames, recovered []string
-	for s := 1; s < len(last.Slots); s++ {
+	for s := 1; s < len(slots); s++ {
 		occupied := h.slotGuest[s].Name != ""
 		switch {
-		case last.Slots[s].Active && !occupied:
+		case slots[s].Active && !occupied:
 			ghosts = append(ghosts, s)
-		case !last.Slots[s].Active && occupied:
+		case !slots[s].Active && occupied:
 			freedSlots = append(freedSlots, s)
 			freedNames = append(freedNames, h.slotGuest[s].Name)
 		case occupied:

@@ -29,19 +29,30 @@ const (
 // and atomically renames it over the journal, so a crash during the
 // cut leaves either the old image or the new one, never a half-written
 // hybrid.
+//
+// A failed Append leaves nothing behind: the caller rolls its epoch
+// back, so bytes of the refused record — a short write's prefix — must
+// not stay in the file, where the records appended after them would be
+// unreachable behind a CRC mismatch. The store cuts the file back to
+// the last accepted record; if even that fails it is poisoned, and
+// every later Append returns the same error, so the controller keeps
+// rolling back instead of committing epochs no replay can reach.
 type FileStore struct {
 	mu     sync.Mutex
 	f      *os.File
 	path   string
 	policy SyncPolicy
+	size   int64 // end of the last accepted record
+	failed error // set once a failed append could not be cut back
 }
 
-// fileSync and dirSync are the fsync seams, swappable in tests to
-// inject the failures a real disk can produce (so the error paths in
-// Truncate are actually exercised, not just written).
+// fileWrite, fileSync and dirSync are the I/O seams, swappable in tests
+// to inject the failures a real disk can produce (so the error paths in
+// Append and Truncate are actually exercised, not just written).
 var (
-	fileSync = func(f *os.File) error { return f.Sync() }
-	dirSync  = func(d *os.File) error { return d.Sync() }
+	fileWrite = func(f *os.File, b []byte) (int, error) { return f.Write(b) }
+	fileSync  = func(f *os.File) error { return f.Sync() }
+	dirSync   = func(d *os.File) error { return d.Sync() }
 )
 
 // OpenFile opens (or creates) a journal file. A new or empty file gets
@@ -56,7 +67,9 @@ func OpenFile(path string, policy SyncPolicy) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: stat %s: %w", path, err)
 	}
-	if st.Size() == 0 {
+	size := st.Size()
+	if size == 0 {
+		size = int64(HeaderSize)
 		if _, err := f.Write(AppendHeader(nil)); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("journal: writing header to %s: %w", path, err)
@@ -80,7 +93,7 @@ func OpenFile(path string, policy SyncPolicy) (*FileStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: seeking %s: %w", path, err)
 	}
-	return &FileStore{f: f, path: path, policy: policy}, nil
+	return &FileStore{f: f, path: path, policy: policy, size: size}, nil
 }
 
 func (s *FileStore) Append(rec []byte) error {
@@ -89,15 +102,42 @@ func (s *FileStore) Append(rec []byte) error {
 	if s.f == nil {
 		return fmt.Errorf("journal: append to closed store %s", s.path)
 	}
-	if _, err := s.f.Write(rec); err != nil {
+	if s.failed != nil {
+		return s.failed
+	}
+	err := s.writeLocked(rec)
+	if err == nil {
+		s.size += int64(len(rec))
+		return nil
+	}
+	if cerr := s.cutBackLocked(); cerr != nil {
+		s.failed = fmt.Errorf("journal: %s is unusable: %w, and the failed append could not be cut back: %w", s.path, err, cerr)
+		return s.failed
+	}
+	return err
+}
+
+// writeLocked writes one record and, under SyncAlways, makes it durable.
+func (s *FileStore) writeLocked(rec []byte) error {
+	if _, err := fileWrite(s.f, rec); err != nil {
 		return fmt.Errorf("journal: append to %s: %w", s.path, err)
 	}
 	if s.policy == SyncAlways {
-		if err := s.f.Sync(); err != nil {
+		if err := fileSync(s.f); err != nil {
 			return fmt.Errorf("journal: sync %s: %w", s.path, err)
 		}
 	}
 	return nil
+}
+
+// cutBackLocked drops whatever a failed append left past the last
+// accepted record and puts the write position back there.
+func (s *FileStore) cutBackLocked() error {
+	if err := s.f.Truncate(s.size); err != nil {
+		return err
+	}
+	_, err := s.f.Seek(s.size, io.SeekStart)
+	return err
 }
 
 func (s *FileStore) Sync() error {
@@ -180,6 +220,7 @@ func (s *FileStore) Truncate(n int64) error {
 	// loudly so the caller knows the cut is not yet durable.
 	old := s.f
 	s.f = tmp
+	s.size = n
 	old.Close()
 	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
 		return fmt.Errorf("journal: seeking %s: %w", s.path, err)

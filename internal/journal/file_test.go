@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -222,6 +223,80 @@ func TestFileStoreTruncateFsyncFails(t *testing.T) {
 			t.Fatalf("append after reported dir-sync failure: %v", err)
 		}
 	})
+}
+
+// shortWriteOnce makes the next fileWrite persist only the first half of
+// its record and report ENOSPC, the way a filling disk does; later
+// writes go through.
+func shortWriteOnce(t *testing.T) {
+	t.Helper()
+	orig := fileWrite
+	t.Cleanup(func() { fileWrite = orig })
+	fileWrite = func(f *os.File, b []byte) (int, error) {
+		fileWrite = orig
+		n, _ := f.Write(b[:len(b)/2])
+		return n, syscall.ENOSPC
+	}
+}
+
+// TestFileStoreFailedAppendLeavesNoTornBytes: an append the store
+// refused must leave nothing in the file. The controller rolls the
+// epoch back and carries on, so whatever a short write persisted would
+// sit in front of every later record — a CRC mismatch that makes
+// acknowledged epochs unreachable and that recovery would then cut away.
+func TestFileStoreFailedAppendLeavesNoTornBytes(t *testing.T) {
+	st, err := OpenFile(filepath.Join(t.TempDir(), "epochs.journal"), SyncOnDemand)
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer st.Close()
+	if err := st.Append(mustEncode(t, testRecord(t, 1))); err != nil {
+		t.Fatal(err)
+	}
+	shortWriteOnce(t)
+	if err := st.Append(mustEncode(t, testRecord(t, 2))); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("short write: Append err = %v, want ENOSPC", err)
+	}
+	for v := uint64(3); v <= 4; v++ {
+		if err := st.Append(mustEncode(t, testRecord(t, v))); err != nil {
+			t.Fatalf("append of record %d after the failed one: %v", v, err)
+		}
+	}
+	want := appendRecords(t, testRecord(t, 1), testRecord(t, 3), testRecord(t, 4))
+	if got := mustLoad(t, st); !bytes.Equal(got, want) {
+		rep, _ := DecodeAll(got)
+		t.Fatalf("image is %d bytes, want the %d of records 1, 3, 4; it replays %d records, tail: %v, %d bytes cut",
+			len(got), len(want), len(rep.Records), rep.TailErr, rep.Truncated)
+	}
+}
+
+// TestFileStoreFailedCutBackPoisons: when the torn bytes cannot be
+// removed either, the store must refuse every later append rather than
+// acknowledge records behind them.
+func TestFileStoreFailedCutBackPoisons(t *testing.T) {
+	st, err := OpenFile(filepath.Join(t.TempDir(), "epochs.journal"), SyncOnDemand)
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	if err := st.Append(mustEncode(t, testRecord(t, 1))); err != nil {
+		t.Fatal(err)
+	}
+	// A write that fails on a closed descriptor: the cut-back fails too.
+	orig := fileWrite
+	defer func() { fileWrite = orig }()
+	fileWrite = func(f *os.File, b []byte) (int, error) {
+		n, _ := f.Write(b[:len(b)/2])
+		f.Close()
+		return n, syscall.EIO
+	}
+	err = st.Append(mustEncode(t, testRecord(t, 2)))
+	if !errors.Is(err, syscall.EIO) || !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Append err = %v, want the write failure and the failed cut-back", err)
+	}
+	fileWrite = orig
+	if again := st.Append(mustEncode(t, testRecord(t, 3))); again == nil || again.Error() != err.Error() {
+		t.Fatalf("append to a poisoned store: err = %v, want %v", again, err)
+	}
 }
 
 // faultySyncStore wraps a Store and fails Sync on demand: the Writer

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"tableau/internal/table"
 )
@@ -64,8 +65,8 @@ const HeaderSize = len(fileMagic) + 2
 // frameOverhead is the per-record framing: length prefix + CRC.
 const frameOverhead = 4 + 4
 
-// sanity caps mirror table.Decode's hardening: a hostile header must
-// not force large up-front allocations or giant reads.
+// sanity caps mirror table.DecodeBytes's hardening: a hostile header
+// must not force large up-front allocations.
 const (
 	maxPayload = 64 << 20
 	maxCount   = 1 << 20
@@ -98,13 +99,9 @@ type EpochRecord struct {
 	FailedCores []int
 	Guarantees  []table.Guarantee
 	// TableBytes is the compact TBLU wire encoding of the epoch's table
-	// (table.DecodeBytes rebuilds the slice index).
+	// (table.DecodeBytes rebuilds the slice index). In a record DecodeAll
+	// returned it is a read-only window into the decoded image.
 	TableBytes []byte
-}
-
-// Table decodes the record's table.
-func (r *EpochRecord) Table() (*table.Table, error) {
-	return table.DecodeBytes(r.TableBytes)
 }
 
 // AppendHeader appends the journal file header to dst.
@@ -113,15 +110,19 @@ func AppendHeader(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint16(dst, fileVersion)
 }
 
-// AppendRecord appends one framed, CRC'd epoch record to dst.
+// AppendRecord appends one framed, CRC'd epoch record to dst. The
+// payload is built in place behind a hole for the frame, which is
+// filled in once the payload's length and checksum are known.
 func AppendRecord(dst []byte, r *EpochRecord) ([]byte, error) {
-	payload, err := appendPayload(nil, r)
+	hole := len(dst)
+	framed, err := appendPayload(append(dst, make([]byte, frameOverhead)...), r)
 	if err != nil {
 		return dst, err
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...), nil
+	payload := framed[hole+frameOverhead:]
+	binary.LittleEndian.PutUint32(framed[hole:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(framed[hole+4:], crc32.Checksum(payload, castagnoli))
+	return framed, nil
 }
 
 func appendPayload(dst []byte, r *EpochRecord) ([]byte, error) {
@@ -173,6 +174,12 @@ func appendPayload(dst []byte, r *EpochRecord) ([]byte, error) {
 // end of the last intact record — the truncation point a recovery
 // should cut the store back to — and TailErr describes why the bytes
 // past Good were abandoned (nil when the journal ends cleanly).
+//
+// Records alias the image: each record's TableBytes is a window into
+// the data DecodeAll was given (capacity clipped, so an append cannot
+// run into the next record), not a copy. A Replay is for reading; a
+// caller that keeps table bytes beyond the image's life, or that goes on
+// writing to the image, copies what it keeps.
 type Replay struct {
 	Records []EpochRecord
 	// Good is the offset just past the last intact record (at least
@@ -329,8 +336,8 @@ func decodePayload(payload []byte) (EpochRecord, error) {
 	}
 	rec.Version = p.u64()
 	nslots := p.count("slot")
-	// Chunked growth like table.Decode: a huge declared count followed
-	// by a truncated body must not allocate up front.
+	// Chunked growth: a huge declared count followed by a truncated body
+	// must not allocate up front.
 	rec.Slots = make([]SlotConfig, 0, min(nslots, allocChunk))
 	for i := 0; i < nslots && p.err == nil; i++ {
 		var s SlotConfig
@@ -366,7 +373,7 @@ func decodePayload(payload []byte) (EpochRecord, error) {
 	if p.err == nil && int(ntbl) > maxPayload {
 		p.err = fmt.Errorf("implausible table length %d", ntbl)
 	}
-	rec.TableBytes = append([]byte(nil), p.take(int(ntbl))...)
+	rec.TableBytes = slices.Clip(p.take(int(ntbl)))
 	if p.err != nil {
 		return rec, p.err
 	}

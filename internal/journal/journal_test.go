@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tableau/internal/planner"
+	"tableau/internal/table"
 )
 
 // testRecord builds a realistic epoch record: a planned table for a
@@ -96,7 +97,7 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(got.TableBytes, want.TableBytes) {
 			t.Errorf("record %d: table bytes differ", i)
 		}
-		tbl, err := got.Table()
+		tbl, err := table.DecodeBytes(got.TableBytes)
 		if err != nil {
 			t.Fatalf("record %d: decoding table: %v", i, err)
 		}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -28,23 +29,27 @@ type Store interface {
 }
 
 // MemStore is the in-memory Store used by simulations and crash-point
-// tests: the "disk" is a byte slice. Safe for concurrent use.
+// tests. The "disk" is the list of what was appended, one exact-size
+// segment per Append (a torn prefix from a crash injector is just a
+// short segment), so an append costs its record and never recopies the
+// journal. Safe for concurrent use.
 type MemStore struct {
 	mu     sync.Mutex
-	buf    []byte
+	segs   [][]byte
+	size   int
 	closed bool
 }
 
 // NewMemStore returns an empty in-memory store with the journal header
 // already written, ready for a Writer.
 func NewMemStore() *MemStore {
-	return &MemStore{buf: AppendHeader(nil)}
+	return NewMemStoreFrom(AppendHeader(nil))
 }
 
-// NewMemStoreFrom returns an in-memory store seeded with an existing
-// journal image (a crash-test's surviving bytes).
+// NewMemStoreFrom returns an in-memory store seeded with a copy of an
+// existing journal image (a crash-test's surviving bytes).
 func NewMemStoreFrom(image []byte) *MemStore {
-	return &MemStore{buf: append([]byte(nil), image...)}
+	return &MemStore{segs: [][]byte{bytes.Clone(image)}, size: len(image)}
 }
 
 func (m *MemStore) Append(rec []byte) error {
@@ -53,7 +58,8 @@ func (m *MemStore) Append(rec []byte) error {
 	if m.closed {
 		return fmt.Errorf("journal: append to closed store")
 	}
-	m.buf = append(m.buf, rec...)
+	m.segs = append(m.segs, bytes.Clone(rec))
+	m.size += len(rec)
 	return nil
 }
 
@@ -66,13 +72,15 @@ func (m *MemStore) Sync() error {
 	return nil
 }
 
+// Load concatenates the segments into one image the caller owns: later
+// appends and truncations do not reach it.
 func (m *MemStore) Load() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, fmt.Errorf("journal: load from closed store")
 	}
-	return append([]byte(nil), m.buf...), nil
+	return bytes.Join(m.segs, nil), nil
 }
 
 func (m *MemStore) Truncate(n int64) error {
@@ -81,10 +89,22 @@ func (m *MemStore) Truncate(n int64) error {
 	if m.closed {
 		return fmt.Errorf("journal: truncate of closed store")
 	}
-	if n < 0 || n > int64(len(m.buf)) {
-		return fmt.Errorf("journal: truncate offset %d out of range [0,%d]", n, len(m.buf))
+	if n < 0 || n > int64(m.size) {
+		return fmt.Errorf("journal: truncate offset %d out of range [0,%d]", n, m.size)
 	}
-	m.buf = m.buf[:n]
+	// Keep whole segments while they fit, cut the one n falls inside.
+	size := int(n)
+	keep, at := 0, 0
+	for ; keep < len(m.segs) && at+len(m.segs[keep]) <= size; keep++ {
+		at += len(m.segs[keep])
+	}
+	if at < size {
+		m.segs[keep] = m.segs[keep][:size-at]
+		keep++
+	}
+	clear(m.segs[keep:])
+	m.segs = m.segs[:keep]
+	m.size = size
 	return nil
 }
 
@@ -99,7 +119,7 @@ func (m *MemStore) Close() error {
 func (m *MemStore) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.buf)
+	return m.size
 }
 
 // Writer frames epoch records onto a Store. It is safe for concurrent

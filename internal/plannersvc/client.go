@@ -216,7 +216,7 @@ func (c *Client) attempt(ctx context.Context, body []byte) (*table.Table, *PlanR
 	if err != nil {
 		return nil, nil, &planError{err: fmt.Errorf("plannersvc: bad table encoding: %w", err), retryable: true}
 	}
-	tbl, err := table.Decode(bytes.NewReader(bin))
+	tbl, err := table.DecodeBytes(bin)
 	if err != nil {
 		// Corrupt tables are treated as transport damage, not a verdict:
 		// a healthy daemon never emits one, so retrying is the right bet.
@@ -301,7 +301,7 @@ func (c *Client) PlanWithFallback(ctx context.Context, req PlanRequest) (*table.
 	if err := res.Table.Encode(&buf); err != nil {
 		return nil, nil, err
 	}
-	ltbl, derr := table.Decode(bytes.NewReader(buf.Bytes()))
+	ltbl, derr := table.DecodeBytes(buf.Bytes())
 	if derr != nil {
 		return nil, nil, derr
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tableau/internal/journal"
+	"tableau/internal/table"
 )
 
 // TestPlanJournalAuditsServedPlans: with a journal attached, every
@@ -55,7 +56,7 @@ func TestPlanJournalAuditsServedPlans(t *testing.T) {
 	if rec.Slots[0].Name != "vma" || rec.Slots[0].UtilDen != 4 || !rec.Slots[0].Active {
 		t.Fatalf("record 1 slot 0 = %+v", rec.Slots[0])
 	}
-	jt, err := rec.Table()
+	jt, err := table.DecodeBytes(rec.TableBytes)
 	if err != nil {
 		t.Fatalf("decoding journaled table: %v", err)
 	}

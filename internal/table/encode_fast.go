@@ -131,11 +131,9 @@ func grow(dst []byte, need int) ([]byte, []byte) {
 	return dst, dst[len(dst) : len(dst)+need]
 }
 
-// AppendEncoded appends the table's binary wire encoding to dst and
-// returns the extended slice. It produces exactly the bytes Encode
-// writes, but fills a single buffer with direct offset arithmetic —
-// the epoch-commit path encodes a full table per churn flush, and the
-// per-field writer calls of a streaming encoder dominated that cost.
+// AppendEncoded appends the table's binary wire encoding, slice index
+// included, to dst and returns the extended slice: one buffer filled by
+// direct offset arithmetic, as DecodeBytes reads it.
 func (t *Table) AppendEncoded(dst []byte) ([]byte, error) {
 	return t.appendEncodedReusing(dst, nil, nil, false)
 }

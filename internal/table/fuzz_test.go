@@ -11,6 +11,7 @@ package table_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"tableau/internal/planner"
@@ -81,9 +82,18 @@ func FuzzTableDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tbl, err := table.Decode(bytes.NewReader(data))
+		tbl, err := table.DecodeBytes(data)
+		// The streaming decoder this one replaced is the oracle: the same
+		// verdict on every input, and the same table when it is accepted.
+		ref, rerr := table.DecodeReference(bytes.NewReader(data))
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("DecodeBytes err = %v, reference err = %v", err, rerr)
+		}
 		if err != nil {
 			return // rejected, fine — just must not panic
+		}
+		if !reflect.DeepEqual(tbl, ref) {
+			t.Fatal("DecodeBytes and the reference decoder disagree on an accepted table")
 		}
 		// An accepted table must uphold every dispatcher-facing
 		// invariant, not merely have parsed.
@@ -111,7 +121,7 @@ func FuzzTableDecode(f *testing.F) {
 		if err := tbl.Encode(&buf); err != nil {
 			t.Fatalf("re-encode of accepted table failed: %v", err)
 		}
-		if _, err := table.Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := table.DecodeBytes(buf.Bytes()); err != nil {
 			t.Fatalf("re-decode of accepted table failed: %v", err)
 		}
 	})
