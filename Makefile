@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt staticcheck test race bench e2e e2e-fleet e2e-durable fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short ci
+.PHONY: build vet fmt staticcheck no-unsafe-switches test race bench e2e e2e-fleet e2e-durable fuzz verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short ci
 
 build:
 	$(GO) build ./...
@@ -63,10 +63,21 @@ verify-short:
 	$(GO) test -short -race ./internal/verify
 
 # Mutation smoke: seeded scheduler/trace defects (starvation, delayed
-# dispatch, phantom records, tampered dumps) must each be flagged by
-# the oracle class that claims to catch them.
+# dispatch, phantom records, tampered dumps), the stale-slice planning
+# backend and the double placement (verify), the inverted shed order on
+# the admission and plan-failure paths (core) and the BE-first
+# evacuation (fleet) must each be convicted by the check that claims to
+# catch them. The defects live in test files only: no shipping type
+# carries a switch for them.
 mutation-smoke:
-	$(GO) test ./internal/verify -run 'TestMutationSmoke|TestShrinkFindsSmallerRepro' -v
+	$(GO) test ./internal/verify ./internal/core ./internal/fleet \
+		-run 'TestMutationSmoke|TestShrinkFindsSmallerRepro|TestCheckFleetCatchesDoublePlace|TestPlanFailureRetryShedsBEBeforeLS' -v
+
+# No defect switch ships: production Go code names nothing "Unsafe".
+no-unsafe-switches:
+	@if grep -rln 'Unsafe' --include='*.go' internal cmd examples | grep -v '_test\.go$$'; then \
+		echo "defect switches belong in test files"; exit 1; \
+	fi
 
 # Churn determinism gate: the churnchaos CSV must be byte-identical
 # across runs and -parallel settings, with zero per-transition
@@ -120,13 +131,15 @@ fleet-short:
 failover-short:
 	$(GO) test ./internal/fleet -run 'TestHostCrash|TestFailStop|TestArbiterClose|TestArmCrashes|TestLedgerBase'
 	$(GO) test -short ./internal/experiments -run 'TestFailoverDeterminism' -v
-	$(GO) test -short ./internal/verify -run 'TestFailoverSoak|TestMutationSmokeEvacuateBEFirst|TestCheckFleetConvictsBadCompaction'
+	$(GO) test -short ./internal/fleet -run 'TestFailoverSoak|TestMutationSmokeEvacuateBEFirst'
+	$(GO) test -short ./internal/verify -run 'TestCheckFleetConvictsBadCompaction'
 
 # Mixed-criticality tenancy gate: the tenancy CSV must be
 # byte-identical across runs and -parallel settings (steady cell sheds
 # nothing, surge cell sheds BE while LS keeps serving), and the
-# class-aware chapters of the verify harness (tenancy continuity soak,
-# shed-order mutation conviction) must hold under -short.
+# class-aware chapters of the verify harness (tenancy continuity soak)
+# must hold under -short; the shed-order conviction runs in
+# mutation-smoke.
 tenancy-short:
 	$(GO) test ./internal/experiments -run 'TestTenancyDeterminism' -v
 	$(GO) test -short ./internal/verify -run 'TestTenancyContinuity'
@@ -144,7 +157,7 @@ tenancy-short:
 # say the scratch really is reused: a warm small-host plan, the table
 # checkers, a mixed-shape Place+Depart pair, a warm dense flush.
 plan-short:
-	$(GO) test ./internal/planner -run 'TestPlanDigests|TestDeltaGate|TestSmallHostPlanAllocationCeiling|TestDonationLedger'
+	$(GO) test ./internal/planner -run 'TestPlanDigests|TestDeltaGate|TestSmallHostPlanAllocationCeiling'
 	$(GO) test -race -count=3 ./internal/planner -run 'TestPlanResultOwnsItsMemory|TestConcurrentPlanStress|TestCacheConcurrent'
 	$(GO) test ./internal/table -run 'TestCheckAndValidateAllocateNothing|TestValidateDelta|TestCheckSubset'
 	$(GO) test ./internal/fleet -run 'TestMixedPlaceDepartAllocationCeiling'
@@ -175,4 +188,4 @@ e2e-durable:
 	$(GO) run ./bench -workload host-replan-192
 	$(GO) run ./bench -workload fleet-durable-256
 
-ci: vet fmt staticcheck build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short fuzz e2e-durable
+ci: vet fmt staticcheck no-unsafe-switches build test race verify-short mutation-smoke churn-short recover-short fleet-short failover-short tenancy-short plan-short fuzz e2e-durable

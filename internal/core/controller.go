@@ -184,14 +184,6 @@ type Controller struct {
 	// before the first Flush.
 	PlanVia PlanFunc
 
-	// UnsafeShedLSFirst is a mutation-smoke defect switch: it inverts
-	// the class-aware shed order, so an overloaded admission sheds
-	// latency-sensitive guests while best-effort guests keep running.
-	// The class-continuity oracle must convict the inverted order (an
-	// LS guest shed while BE guests remain active). Never set outside
-	// tests.
-	UnsafeShedLSFirst bool
-
 	// MaxHistory bounds the retained epoch history. Every committed
 	// epoch holds a full table plus its wire encoding, so an unbounded
 	// history grows the live heap linearly with churn on a long-lived
@@ -717,6 +709,13 @@ func (c *Controller) journaledLocked(v uint64) {
 	c.stats.Compactions++
 }
 
+// shedClass is the class shedding takes first, in an overloaded LS
+// admission (shedForLocked) and in the plan-failure retry
+// (lastSheddableLocked). The tests invert it (export_test.go) to check
+// that the class-continuity oracle convicts LS guests shed while BE
+// guests keep running.
+var shedClass = BE
+
 // shedForLocked makes room for the latency-sensitive guest in slot
 // keep by shedding best-effort guests: active BE slots are deactivated
 // (highest id first — the youngest arrivals) until the population
@@ -727,10 +726,6 @@ func (c *Controller) journaledLocked(v uint64) {
 // displace BE slack but never another LS guarantee. BE subjects never
 // shed anyone. Returns nil — with every victim restored — when
 // shedding cannot save the admission.
-//
-// UnsafeShedLSFirst inverts the victim class: LS guests are shed while
-// BE guests keep running, the defect the class-continuity oracle must
-// convict.
 func (c *Controller) shedForLocked(keep int) []Op {
 	s := c.sys
 	if keep < 0 || keep >= len(s.slots) || s.slots[keep].cfg.Class != LS {
@@ -739,13 +734,9 @@ func (c *Controller) shedForLocked(keep int) []Op {
 	if c.sys.admitLocked(true) != nil {
 		return nil
 	}
-	victim := BE
-	if c.UnsafeShedLSFirst {
-		victim = LS
-	}
 	var shed []Op
 	for id := len(s.slots) - 1; id >= 0; id-- {
-		if id == keep || !s.slots[id].active || s.slots[id].cfg.Class != victim {
+		if id == keep || !s.slots[id].active || s.slots[id].cfg.Class != shedClass {
 			continue
 		}
 		s.slots[id].active = false
@@ -763,17 +754,13 @@ func (c *Controller) shedForLocked(keep int) []Op {
 // lastSheddableLocked returns the index of the utilization-adding op
 // the plan-failure retry loop should shed next: the most recent one
 // with a best-effort subject, falling back to the most recent one of
-// any class. UnsafeShedLSFirst inverts the class preference.
+// any class.
 //
 // An OpActivate qualifies only if its slot was inactive at the batch
 // snapshot: shedding an activation deactivates the slot, and a
 // redundant activation of an already-admitted guest (bursts can carry
 // them) must not turn into a teardown the epoch never committed.
 func (c *Controller) lastSheddableLocked(snap []slot, ops []Op) int {
-	prefer := BE
-	if c.UnsafeShedLSFirst {
-		prefer = LS
-	}
 	sheddable := func(op Op) bool {
 		if op.Slot < 0 || op.Slot >= len(c.sys.slots) {
 			return false
@@ -794,7 +781,7 @@ func (c *Controller) lastSheddableLocked(snap []slot, ops []Op) int {
 		if fallback < 0 {
 			fallback = i
 		}
-		if c.sys.slots[ops[i].Slot].cfg.Class == prefer {
+		if c.sys.slots[ops[i].Slot].cfg.Class == shedClass {
 			return i
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tableau/internal/dispatch"
@@ -421,7 +422,76 @@ func TestControllerShedsLatestArrivalWhenPlacementFails(t *testing.T) {
 	}
 }
 
-// TestMaxHistoryBounds: a bounded controller retains only the newest
+// TestPlanFailureRetryShedsBEBeforeLS: when a batch passes admission but
+// its plan fails, the retry sheds the batch's best-effort arrival before
+// its latency-sensitive one, even when the LS arrival is the more recent.
+// With the shed order inverted (ShedLSFirst) the LS arrival is rejected
+// instead: this convicts the plan-failure half of the shed-order mutant.
+func TestPlanFailureRetryShedsBEBeforeLS(t *testing.T) {
+	flush := func(t *testing.T) (committed, rejected []int) {
+		t.Helper()
+		s := NewSystem(2, planner.Options{}, dispatch.Options{})
+		cfgs := []VMConfig{eighthVM("vm0"), eighthVM("be"), eighthVM("ls")}
+		cfgs[1].Class = BE
+		for i, cfg := range cfgs {
+			id, err := s.AddVM(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 {
+				if err := s.SetActive(id, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		d, res, err := s.BuildDispatcher()
+		if err != nil {
+			t.Fatal(err)
+		}
+		attachMachine(s, d)
+		ctrl, err := NewController(s, d, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A backend that cannot place any population holding the BE guest:
+		// a stand-in for placement infeasibility past admission.
+		ctrl.PlanVia = func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
+			for _, sp := range specs {
+				if sp.Name == "be" {
+					return nil, errors.New("placement infeasible")
+				}
+			}
+			return planner.Plan(specs, opts)
+		}
+		ctrl.SubmitBatch([]Op{{Kind: OpActivate, Slot: 1}, {Kind: OpActivate, Slot: 2}})
+		tr, err := ctrl.Flush()
+		if err != nil {
+			t.Fatalf("the shed retry should leave a plannable batch: %v (transition %+v)", err, tr)
+		}
+		for _, op := range tr.Committed {
+			committed = append(committed, op.Slot)
+		}
+		for _, rj := range tr.Rejected {
+			rejected = append(rejected, rj.Op.Slot)
+		}
+		return committed, rejected
+	}
+
+	t.Run("BE first", func(t *testing.T) {
+		committed, rejected := flush(t)
+		if !slices.Equal(committed, []int{2}) || !slices.Equal(rejected, []int{1}) {
+			t.Errorf("committed slots %v, rejected %v; want the LS slot 2 committed and the BE slot 1 rejected", committed, rejected)
+		}
+	})
+	t.Run("mutant LS first", func(t *testing.T) {
+		ShedLSFirst(t)
+		if _, rejected := flush(t); !slices.Contains(rejected, 2) {
+			t.Errorf("rejected slots %v: the inverted retry kept the LS slot 2, so this test no longer convicts it", rejected)
+		}
+	})
+}
+
+// TestMaxHistoryBounds:a bounded controller retains only the newest
 // MaxHistory epochs (never fewer than two, so the emergency-rollback
 // predecessor stays reachable), and the retained suffix matches what an
 // unbounded controller records for the same op sequence.

@@ -126,10 +126,6 @@ type System struct {
 	// but pass the identical guarantee checks. Set before first use.
 	Incremental bool
 
-	// UnsafeStaleSliceReuse arms the planner's mutation-smoke defect of
-	// the same name on every local plan. Never set outside tests.
-	UnsafeStaleSliceReuse bool
-
 	// inc is an Incremental system's planning state (guarded by mu),
 	// made on first use.
 	inc *incremental
@@ -528,9 +524,6 @@ func (s *System) planOptsLocked(specs []planner.VCPUSpec) (planner.Options, erro
 	}
 	if s.Cache != nil {
 		opts.Slices = s.Cache.SliceCache()
-	}
-	if s.UnsafeStaleSliceReuse {
-		opts.UnsafeStaleSliceReuse = true
 	}
 	return opts, nil
 }

@@ -70,6 +70,11 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
+// firstWave is the class Failover evacuates first. The tests invert it
+// (export_test.go) to check that the cross-seam oracle convicts a
+// BE-first evacuation.
+var firstWave = planner.LS
+
 // Arbiter is the fleet's shared-state placement layer: N hosts, the
 // headroom board they publish to, a registry of which host holds which
 // VM, and the optimistic read/commit/retry protocol placers run
@@ -87,17 +92,6 @@ type Arbiter struct {
 	order    []string            // live VM names, deterministic under deterministic traffic
 	orderPos map[string]int
 	stats    Stats
-
-	// UnsafeDoublePlace is a mutation-smoke defect switch: each
-	// PlaceBatch also commits its first placed VM to a second host
-	// behind the registry's back. The cross-host continuity oracle must
-	// catch the VM live on two hosts. Never set outside tests.
-	UnsafeDoublePlace bool
-	// UnsafeEvacuateBEFirst is a mutation-smoke defect switch: Failover
-	// evacuates the best-effort wave before the latency-sensitive one,
-	// inverting the LS-first displacement guarantee. The cross-seam
-	// oracle must convict it. Never set outside tests.
-	UnsafeEvacuateBEFirst bool
 }
 
 // New builds the fleet: Hosts hosts, each planned and wrapped in its
@@ -463,18 +457,7 @@ func (a *Arbiter) PlaceBatch(vms []VM) (Stats, error) {
 		a.stats.add(bs)
 	}
 	a.mu.Unlock()
-	if err != nil {
-		return bs, err
-	}
-	if a.UnsafeDoublePlace {
-		for _, pd := range work {
-			if pd.host >= 0 {
-				a.doublePlace(pd.vm, pd.host)
-				break
-			}
-		}
-	}
-	return bs, nil
+	return bs, err
 }
 
 // claim reserves every name for an in-flight placement, or none. A name
@@ -499,23 +482,6 @@ func (a *Arbiter) claim(vms []VM) error {
 		a.placing[vm.Name] = struct{}{}
 	}
 	return nil
-}
-
-// doublePlace implements the UnsafeDoublePlace defect: commit vm to a
-// second host without telling the registry.
-func (a *Arbiter) doublePlace(vm VM, not int) {
-	for h := range a.hosts {
-		if h == not {
-			continue
-		}
-		snap := a.hosts[h].Snapshot()
-		if snap.State != HostUp || snap.FreeSlots == 0 {
-			continue
-		}
-		if res, err := a.hosts[h].CommitPlacements(snap.Version, []VM{vm}); err == nil && len(res.Placed) == 1 {
-			return
-		}
-	}
 }
 
 // DepartBatch tears the named VMs down on their owning hosts,
@@ -675,7 +641,7 @@ func (a *Arbiter) Failover() (Stats, error) {
 			first = append(first, ev.ls...)
 			second = append(second, ev.be...)
 		}
-		if a.UnsafeEvacuateBEFirst {
+		if firstWave == planner.BE {
 			first, second = second, first
 		}
 		for _, wave := range [][]*pend{first, second} {

@@ -30,11 +30,11 @@ func mergeContiguous(allocs []table.Alloc) []table.Alloc {
 //  1. contiguous same-vCPU allocations are merged;
 //  2. a sub-threshold allocation adjacent to idle time is widened into
 //     the idle gap until it reaches the threshold (this only adds
-//     service, so it is always safe);
-//  3. a sub-threshold allocation squeezed between other reservations is
-//     donated to its longer neighbor, but only if donate reports that
-//     the owning vCPU can afford the loss (the planner wires donate to a
-//     per-window service-slack check).
+//     service, so it is always safe).
+//
+// A sliver squeezed between other reservations survives: folding it
+// into a neighbour would cost its vCPU service, and before coalescing
+// every vCPU holds exactly its guaranteed service in each window.
 //
 // tableLen bounds the widening in step 2. mayWiden gates step 2 per
 // vCPU: widening a split vCPU's reservation could overlap its
@@ -43,7 +43,7 @@ func mergeContiguous(allocs []table.Alloc) []table.Alloc {
 //
 // The list only ever shrinks, so every step runs in place on the copy
 // appended to dst; the returned slice is dst extended by the result.
-func coalesceCore(dst, allocs []table.Alloc, threshold, tableLen int64, mayWiden func(vcpu int) bool, donate func(vcpu int, start, end int64) bool) []table.Alloc {
+func coalesceCore(dst, allocs []table.Alloc, threshold, tableLen int64, mayWiden func(vcpu int) bool) []table.Alloc {
 	base := len(dst)
 	dst = append(dst, allocs...)
 	work := mergeContiguous(dst[base:])
@@ -78,32 +78,7 @@ func coalesceCore(dst, allocs []table.Alloc, threshold, tableLen int64, mayWiden
 			a.Start -= grow
 		}
 	}
-	work = mergeContiguous(work)
-	// Step 3: donate remaining slivers to a neighbor. out trails the read
-	// position, so it is built over the entries already consumed.
-	out := work[:0]
-	for i := 0; i < len(work); i++ {
-		a := work[i]
-		if a.Len() >= threshold || donate == nil || !donate(a.VCPU, a.Start, a.End) {
-			out = append(out, a)
-			continue
-		}
-		// Prefer the neighbor that touches the sliver; among touching
-		// neighbors, the longer one.
-		prevTouches := len(out) > 0 && out[len(out)-1].End == a.Start
-		nextTouches := i+1 < len(work) && work[i+1].Start == a.End
-		switch {
-		case prevTouches && (!nextTouches || out[len(out)-1].Len() >= work[i+1].Len()):
-			out[len(out)-1].End = a.End
-		case nextTouches:
-			work[i+1].Start = a.Start
-		default:
-			// Isolated sliver bordered by idle on both sides would have
-			// been widened in step 2; keep it as a fallback.
-			out = append(out, a)
-		}
-	}
-	return dst[:base+len(mergeContiguous(out))]
+	return dst[:base+len(mergeContiguous(work))]
 }
 
 func min64(a, b int64) int64 {

@@ -51,9 +51,6 @@ type pinning struct {
 	pinnedSpec []bool
 	// cores counts non-empty coreTasks entries (Result.PinnedCores).
 	cores int
-	// override substitutes stale effective specs, keyed by current spec
-	// index — only ever populated by the UnsafeStaleSliceReuse defect.
-	override map[int]VCPUSpec
 	// prevTable is the previous plan's finished table (planner
 	// universe, read-only). Pinned cores adopt their previous final
 	// schedule from it verbatim (allocations renumbered), so synthesis
@@ -154,28 +151,14 @@ func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) 
 	ws.renumber = filled(ws.renumber, len(prev.Specs), -1)
 	clean := ws.renumber
 	nClean := 0
-	var override map[int]VCPUSpec
 	for j, p := range prev.Specs {
 		i, ok := cur[p.Name]
 		if !ok || p.Util.IsFull() {
 			continue
 		}
-		c := specs[i]
-		if c.Util == p.Util && c.LatencyGoal == p.LatencyGoal && c.Capped == p.Capped {
+		if c := specs[i]; c.Util == p.Util && c.LatencyGoal == p.LatencyGoal && c.Capped == p.Capped {
 			clean[j] = int32(i)
 			nClean++
-			continue
-		}
-		if opts.UnsafeStaleSliceReuse && !c.Util.IsFull() {
-			// Defect: the reconfiguration is ignored — the VM keeps its
-			// stale placement AND its stale spec, so the under-serving
-			// table still passes the planner's own final Check.
-			clean[j] = int32(i)
-			nClean++
-			if override == nil {
-				override = make(map[int]VCPUSpec)
-			}
-			override[i] = p
 		}
 	}
 	if nClean == 0 {
@@ -235,7 +218,6 @@ func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) 
 	ws.pin = pinning{
 		coreTasks:  ws.coreTasks,
 		pinnedSpec: ws.pinnedSpec,
-		override:   override,
 		prevTable:  prev.Res.Table,
 		renumber:   clean,
 		prevGs:     prev.Res.Guarantees,

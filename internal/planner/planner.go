@@ -148,14 +148,6 @@ func Plan(specs []VCPUSpec, opts Options) (*Result, error) {
 // exactly sized, and shares nothing with ws once planWith returns.
 func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 	opts = opts.withDefaults()
-	if pin != nil && len(pin.override) > 0 {
-		// The UnsafeStaleSliceReuse defect: plan against the stale specs
-		// so the internally consistent (but wrong) table passes Check.
-		specs = append([]VCPUSpec(nil), specs...)
-		for i, stale := range pin.override {
-			specs[i] = stale
-		}
-	}
 	if err := admit(ws, specs, opts.Cores, false); err != nil {
 		return nil, err
 	}
@@ -397,7 +389,6 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	// final for what it will be fed keeps every core's window in one
 	// backing.
 	splitVCPU := markSplit(ws, tbl)
-	ws.donated = ws.donated[:0]
 	toCoalesce := 0
 	for ci := range tbl.Cores {
 		if !adopted[ci] {
@@ -407,29 +398,12 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	ws.final = slices.Grow(ws.final[:0], toCoalesce)
 	for ci := range tbl.Cores {
 		if adopted[ci] {
-			// The adopted schedule is the previous plan's post-coalesce
-			// output; its embedded donations are visible to later
-			// affordability checks through the table, and pinned vCPUs
-			// never share donation budgets with dirty cores (a split
-			// chain pins all of its hosts or none).
-			continue
+			continue // the previous plan's post-coalesce output
 		}
 		ct := &tbl.Cores[ci]
 		n := len(ws.final)
 		ws.final = coalesceCore(ws.final, ct.Allocs, opts.CoalesceThreshold, tableLen,
-			func(v int) bool { return !splitVCPU[v] },
-			func(v int, start, end int64) bool {
-				if !donationAffordable(ws, tbl, res.Guarantees, v, start, end) {
-					return false
-				}
-				// Record the (possibly multi-window) loss so later
-				// affordability checks see it.
-				g := guaranteeOf(res.Guarantees, v)
-				for w := (start / g.WindowLen) * g.WindowLen; w < end; w += g.WindowLen {
-					ws.donate(v, w, min64(end, w+g.WindowLen)-max64(start, w))
-				}
-				return true
-			})
+			func(v int) bool { return !splitVCPU[v] })
 		ct.Allocs = ws.final[n:len(ws.final):len(ws.final)]
 	}
 
@@ -602,53 +576,6 @@ func markSplit(ws *workspace, tbl *table.Table) []bool {
 		}
 	}
 	return split
-}
-
-// guaranteeOf returns the guarantee entry for the vCPU, or nil.
-func guaranteeOf(gs []table.Guarantee, vcpu int) *table.Guarantee {
-	for i := range gs {
-		if gs[i].VCPU == vcpu {
-			return &gs[i]
-		}
-	}
-	return nil
-}
-
-// donationAffordable reports whether removing [start,end) from the
-// vCPU's reservations still leaves at least the guaranteed service in
-// the affected period window(s), accounting for losses already granted
-// to earlier donations (ws.donated, by vcpu and window start).
-func donationAffordable(ws *workspace, tbl *table.Table, gs []table.Guarantee, vcpu int, start, end int64) bool {
-	g := guaranteeOf(gs, vcpu)
-	if g == nil || g.WindowLen <= 0 {
-		return false
-	}
-	for w := (start / g.WindowLen) * g.WindowLen; w < end; w += g.WindowLen {
-		var svc int64
-		for _, ct := range tbl.Cores {
-			for _, a := range ct.Allocs {
-				if a.VCPU != vcpu {
-					continue
-				}
-				if lo, hi := max64(a.Start, w), min64(a.End, w+g.WindowLen); hi > lo {
-					svc += hi - lo
-				}
-			}
-		}
-		svc -= ws.donatedIn(vcpu, w)
-		loss := min64(end, w+g.WindowLen) - max64(start, w)
-		if svc-loss < g.Service {
-			return false
-		}
-	}
-	return true
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // assignHomeCores sets each vCPU's HomeCore to the core holding its

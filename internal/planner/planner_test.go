@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"tableau/internal/table"
 )
 
 // paperSpecs builds the paper's evaluation workload: vmsPerCore
@@ -261,14 +259,4 @@ func TestPlanHighDensity176VMs(t *testing.T) {
 		t.Errorf("vcpus = %d", got)
 	}
 	var _ = res
-}
-
-func TestGuaranteeOf(t *testing.T) {
-	gs := []table.Guarantee{{VCPU: 2, Service: 5}}
-	if g := guaranteeOf(gs, 2); g == nil || g.Service != 5 {
-		t.Error("guaranteeOf missed existing entry")
-	}
-	if g := guaranteeOf(gs, 1); g != nil {
-		t.Error("guaranteeOf invented an entry")
-	}
 }

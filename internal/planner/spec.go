@@ -131,14 +131,6 @@ type Options struct {
 	// so tables stay byte-identical with or without the cache; excluded
 	// from CacheKey.
 	Slices *SliceCache
-
-	// UnsafeStaleSliceReuse is a mutation-smoke defect switch for
-	// PlanIncremental: a same-named vCPU is treated as unchanged even
-	// when its reservation was reconfigured, so its stale per-core
-	// placement (and the stale spec that makes the planner's own final
-	// Check pass) is reused. The verify oracles must catch the epoch
-	// that under-serves the reconfigured VM. Never set outside tests.
-	UnsafeStaleSliceReuse bool
 }
 
 func (o Options) withDefaults() Options {

@@ -45,7 +45,6 @@ type workspace struct {
 	coreOf      []int32 // per vCPU: markSplit's first-seen core
 	split       []bool  // per vCPU: reservations on more than one core
 	home        []int64 // vcpu*cores+core: reserved time, for home cores
-	donated     []donation
 
 	seen map[string]struct{} // admission's duplicate-name check
 
@@ -206,31 +205,4 @@ func (ws *workspace) coreStates(n int) []*coreState {
 		*c = coreState{id: i, tasks: c.tasks[:0], util: zeroFrac()}
 	}
 	return cores
-}
-
-// donation is service a vCPU gave up in one guarantee window when
-// coalescing folded one of its slivers into a neighbour.
-type donation struct {
-	vcpu int
-	w    int64 // window start
-	lost int64
-}
-
-func (ws *workspace) donatedIn(vcpu int, w int64) int64 {
-	for _, d := range ws.donated {
-		if d.vcpu == vcpu && d.w == w {
-			return d.lost
-		}
-	}
-	return 0
-}
-
-func (ws *workspace) donate(vcpu int, w, lost int64) {
-	for i := range ws.donated {
-		if d := &ws.donated[i]; d.vcpu == vcpu && d.w == w {
-			d.lost += lost
-			return
-		}
-	}
-	ws.donated = append(ws.donated, donation{vcpu, w, lost})
 }

@@ -67,7 +67,6 @@ func scribble(ws *workspace) {
 	}
 	clear(ws.jobs[:cap(ws.jobs)])
 	clear(ws.coreTasks[:cap(ws.coreTasks)])
-	clear(ws.donated[:cap(ws.donated)])
 	ws.pin = pinning{}
 }
 
@@ -184,7 +183,7 @@ func TestPlanResultOwnsItsMemory(t *testing.T) {
 				return
 			}
 			results[i] = res
-			if encoded[i], err = res.Table.AppendEncoded(nil); err != nil {
+			if encoded[i], err = res.Table.AppendEncodedCompact(nil); err != nil {
 				t.Errorf("%s: %v", k.name, err)
 				return
 			}
@@ -202,7 +201,7 @@ func TestPlanResultOwnsItsMemory(t *testing.T) {
 			if !reflect.DeepEqual(results[i], fresh) {
 				t.Errorf("%s: the kept Result no longer equals a fresh plan of its input:\nkept  %+v\nfresh %+v", k.name, results[i], fresh)
 			}
-			if enc, err := results[i].Table.AppendEncoded(nil); err != nil || !bytes.Equal(enc, encoded[i]) {
+			if enc, err := results[i].Table.AppendEncodedCompact(nil); err != nil || !bytes.Equal(enc, encoded[i]) {
 				t.Errorf("%s: the kept table re-encodes differently (err %v)", k.name, err)
 			}
 			if err := results[i].Table.Check(results[i].Guarantees); err != nil {
@@ -247,39 +246,5 @@ func TestSmallHostPlanAllocationCeiling(t *testing.T) {
 	})
 	if allocs > 9 {
 		t.Errorf("a warm small-host plan allocates %.0f objects, ceiling 9", allocs)
-	}
-}
-
-// TestDonationLedger pins the bookkeeping coalescing's donations run on:
-// a loss is charged to the vCPU's guarantee window, accumulates, and
-// makes a second donation from the same window unaffordable once the
-// slack is gone.
-func TestDonationLedger(t *testing.T) {
-	ws := new(workspace)
-	// vCPU 0: window 100, guaranteed 40 per window, reserved 50 in each of
-	// two windows — 10 ns of slack per window.
-	tbl := &table.Table{Len: 200, VCPUs: make([]table.VCPUInfo, 2), Cores: []table.CoreTable{
-		{Core: 0, Allocs: []table.Alloc{{Start: 0, End: 50, VCPU: 0}, {Start: 50, End: 100, VCPU: 1}, {Start: 100, End: 150, VCPU: 0}}},
-	}}
-	gs := []table.Guarantee{{VCPU: 0, Service: 40, WindowLen: 100}}
-	if !donationAffordable(ws, tbl, gs, 0, 44, 50) {
-		t.Fatal("a 6 ns donation out of 10 ns of slack was refused")
-	}
-	ws.donate(0, 0, 6)
-	if donationAffordable(ws, tbl, gs, 0, 0, 6) {
-		t.Error("a second 6 ns donation from the same window was granted: 4 ns of slack were left")
-	}
-	if !donationAffordable(ws, tbl, gs, 0, 0, 4) {
-		t.Error("a 4 ns donation was refused with exactly 4 ns of slack left")
-	}
-	if !donationAffordable(ws, tbl, gs, 0, 100, 110) {
-		t.Error("the next window's slack was charged for the first window's loss")
-	}
-	ws.donate(0, 0, 4)
-	if got := ws.donatedIn(0, 0); got != 10 {
-		t.Errorf("window 0 has %d ns on the ledger, want 10", got)
-	}
-	if donationAffordable(ws, tbl, gs, 1, 50, 60) {
-		t.Error("a vCPU without a guarantee was allowed to donate")
 	}
 }

@@ -124,7 +124,7 @@ func TestDecodeBytesMatchesReference(t *testing.T) {
 	}
 	for i, tbl := range digestShapedTables(t) {
 		legacy := table.AppendLegacy(nil, tbl)
-		compact, err := tbl.AppendEncoded(nil)
+		compact, err := tbl.AppendEncodedCompact(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestDecodeBytesMatchesReference(t *testing.T) {
 		if got, err := table.DecodeBytes(compact); err != nil || !reflect.DeepEqual(got, fromLegacy) {
 			t.Fatalf("table %d: the legacy and the compact image decode apart: %v", i, err)
 		}
-		if again, err := fromLegacy.AppendEncoded(nil); err != nil || !bytes.Equal(again, compact) {
+		if again, err := fromLegacy.AppendEncodedCompact(nil); err != nil || !bytes.Equal(again, compact) {
 			t.Fatalf("table %d does not re-encode to its compact bytes: %v", i, err)
 		}
 	}

@@ -137,19 +137,14 @@ func grow(dst []byte, need int) ([]byte, []byte) {
 	return dst, dst[len(dst) : len(dst)+need]
 }
 
-// AppendEncoded appends the table's binary wire encoding to dst and
-// returns the extended slice: one buffer filled by direct offset
-// arithmetic, as DecodeBytes reads it. It is AppendEncodedCompact.
-func (t *Table) AppendEncoded(dst []byte) ([]byte, error) {
-	return t.AppendEncodedCompact(dst)
-}
-
-// AppendEncodedCompact appends the table's wire encoding, which carries
-// no slice index (slice length and index count encoded as zero). The
-// index is a pure function of the allocation lists, so an installer
-// builds it from them; leaving it off the wire shrinks dense tables by
-// roughly an order of magnitude — the index typically dwarfs the
-// allocation lists it summarizes.
+// AppendEncodedCompact appends the table's binary wire encoding to dst
+// and returns the extended slice: one buffer filled by direct offset
+// arithmetic, as DecodeBytes reads it. The encoding carries no slice
+// index (slice length and index count encoded as zero). The index is a
+// pure function of the allocation lists, so an installer builds it from
+// them; leaving it off the wire shrinks dense tables by roughly an order
+// of magnitude — the index typically dwarfs the allocation lists it
+// summarizes.
 func (t *Table) AppendEncodedCompact(dst []byte) ([]byte, error) {
 	return t.appendEncodedReusing(dst, nil, nil)
 }
@@ -212,9 +207,10 @@ func sameBacking(a, b []Alloc) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// Encode writes the table in the binary wire format (AppendEncoded).
+// Encode writes the table in the binary wire format
+// (AppendEncodedCompact).
 func (t *Table) Encode(w io.Writer) error {
-	buf, err := t.AppendEncoded(nil)
+	buf, err := t.AppendEncodedCompact(nil)
 	if err != nil {
 		return err
 	}

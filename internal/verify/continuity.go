@@ -35,9 +35,10 @@ type enactedEpoch struct {
 //     guarantee with no deactivation on record.
 //   - shed order: a committed shed deactivation (Op.Shed) may take a
 //     latency-sensitive slot only when no best-effort slot remains
-//     active. This is the check that convicts UnsafeShedLSFirst: its
-//     sheds are committed and journaled — retention cannot object — but
-//     they take LS guarantees while BE guests still hold the slack.
+//     active. This is the check that convicts the shed-order mutant
+//     (core's TestMutationSmokeShedLSFirst): its sheds are committed and
+//     journaled — retention cannot object — but they take LS guarantees
+//     while BE guests still hold the slack.
 //   - gaps: for each Hog slot, every observed no-service gap [g0, g1)
 //     must satisfy g1-g0 <= sum of the slot's blackout bounds over the
 //     epochs the gap touches. A gap inside one fully-adopted epoch gets
@@ -116,9 +117,10 @@ func checkShedOrder(a *Artifacts) []Violation {
 // current latency goal and whose service fraction covers the slot's
 // current reservation, and no inactive slot holds one. Retention alone
 // cannot catch a planner that keeps serving a reconfigured VM its stale
-// pre-reconfiguration reservation (UnsafeStaleSliceReuse): the stale
-// epoch is self-consistent — table, guarantees, and trace all agree —
-// and only disagrees with the obligations the committed ops created.
+// pre-reconfiguration reservation (the stale-slice mutant,
+// TestMutationSmokeStaleSliceReuse): the stale epoch is self-consistent
+// — table, guarantees, and trace all agree — and only disagrees with
+// the obligations the committed ops created.
 func checkEpochFidelity(a *Artifacts, hist []core.Epoch) []Violation {
 	sc := a.Scenario
 	type obligation struct {

@@ -10,7 +10,8 @@ import (
 )
 
 // runFleetStorm drives one seeded random churn storm through a small
-// fleet and returns the arbiter for the oracle to inspect.
+// fleet and returns the arbiter for the oracle to inspect. With defect
+// set, every batch is followed by the double-place mutant.
 func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
 	t.Helper()
 	a, err := fleet.New(fleet.Config{
@@ -21,7 +22,15 @@ func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = a.Close() })
-	a.UnsafeDoublePlace = defect
+	place := func(vms []fleet.VM) {
+		t.Helper()
+		if _, err := a.PlaceBatch(vms); err != nil {
+			t.Fatal(err)
+		}
+		if defect {
+			doublePlace(a, vms)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	utils := []planner.Util{{Num: 1, Den: 8}, {Num: 1, Den: 4}, {Num: 1, Den: 2}, {Num: 3, Den: 4}}
@@ -44,9 +53,7 @@ func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
 		return vms
 	}
 
-	if _, err := a.PlaceBatch(mkVMs("v", 20+rng.Intn(25))); err != nil {
-		t.Fatal(err)
-	}
+	place(mkVMs("v", 20+rng.Intn(25)))
 	for round := 0; round < 2; round++ {
 		live := a.PlacedNames()
 		n := len(live) / 4
@@ -58,16 +65,38 @@ func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
 		if _, err := a.DepartBatch(departs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.PlaceBatch(mkVMs(fmt.Sprintf("c%d-", round), n+rng.Intn(8))); err != nil {
-			t.Fatal(err)
-		}
+		place(mkVMs(fmt.Sprintf("c%d-", round), n+rng.Intn(8)))
 	}
 	// A surge of big VMs past the admission edge: rejects, spare-pool
 	// sheds and unplaced tails must all leave the ledgers consistent.
-	if _, err := a.PlaceBatch(mkVMs("g", 12+rng.Intn(10))); err != nil {
-		t.Fatal(err)
-	}
+	place(mkVMs("g", 12+rng.Intn(10)))
 	return a
+}
+
+// doublePlace is the double-place mutant: it commits the first VM of a
+// placed batch to a second Up host behind the registry's back, so the
+// VM is live on two hosts.
+func doublePlace(a *fleet.Arbiter, batch []fleet.VM) {
+	asg := a.Assignments()
+	for _, vm := range batch {
+		home, ok := asg[vm.Name]
+		if !ok {
+			continue
+		}
+		for _, h := range a.Hosts() {
+			if h.ID() == home {
+				continue
+			}
+			snap := h.Snapshot()
+			if snap.State != fleet.HostUp || snap.FreeSlots == 0 {
+				continue
+			}
+			if res, err := h.CommitPlacements(snap.Version, []fleet.VM{vm}); err == nil && len(res.Placed) == 1 {
+				return
+			}
+		}
+		return
+	}
 }
 
 // TestCheckFleetSeeds soaks the cross-host continuity oracle: 120
@@ -98,17 +127,20 @@ func TestCheckFleetSeeds(t *testing.T) {
 	}
 }
 
-// TestCheckFleetCatchesDoublePlace arms the UnsafeDoublePlace defect
-// (a VM committed to a second host behind the registry's back) and
+// TestCheckFleetCatchesDoublePlace arms the double-place mutant (a VM
+// committed to a second host behind the registry's back) and
 // demands the oracle convict it — on a storm long enough that hosts
 // have cut their ledgers, so the conviction holds over bounded state.
 func TestCheckFleetCatchesDoublePlace(t *testing.T) {
 	caught := false
 	for seed := int64(0); seed < 5 && !caught; seed++ {
 		a := runFleetStorm(t, seed, true)
-		caught = len(CheckFleet(a)) > 0 && ledgersTrimmed(a)
+		vs := CheckFleet(a)
+		if caught = len(vs) > 0 && ledgersTrimmed(a); caught {
+			t.Logf("seed %d convicted: %s", seed, vs[0])
+		}
 	}
 	if !caught {
-		t.Fatal("UnsafeDoublePlace escaped the fleet continuity oracle on every seed whose ledgers were cut")
+		t.Fatal("the double placement escaped the fleet continuity oracle on every seed whose ledgers were cut")
 	}
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -132,17 +133,48 @@ func TestIncrementalScratchEquivalence(t *testing.T) {
 	}
 }
 
+// stalePlanVia is the stale-slice mutant, a planning backend that
+// replans incrementally from its own previous plan but hands the
+// planner the previous spec of any reconfigured non-full VM: the VM
+// keeps its stale placement and the stale spec that makes the planner's
+// own final check pass.
+func stalePlanVia() core.PlanFunc {
+	var prev *planner.PrevPlan
+	return func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
+		planned := specs
+		if prev != nil {
+			old := make(map[string]planner.VCPUSpec, len(prev.Specs))
+			for _, p := range prev.Specs {
+				old[p.Name] = p
+			}
+			planned = slices.Clone(specs)
+			for i, c := range planned {
+				if p, ok := old[c.Name]; ok && p != c && !p.Util.IsFull() && !c.Util.IsFull() {
+					planned[i] = p
+				}
+			}
+		}
+		res, err := planner.PlanIncremental(planned, opts, prev)
+		if err == nil {
+			prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res}
+		}
+		return res, err
+	}
+}
+
 // TestMutationSmokeStaleSliceReuse proves the epoch-fidelity oracle
 // earns its keep against the planner defect the evict oracle cannot
-// see: UnsafeStaleSliceReuse treats a reconfigured VM as untouched and
-// re-plans it from its stale pre-reconfiguration spec. The resulting
-// epoch is completely self-consistent — its table passes Check against
-// its own guarantees, nobody loses a guarantee, the trace agrees — and
-// only the committed OpReconfigure's obligations reveal the lie.
+// see: stalePlanVia treats a reconfigured VM as untouched and re-plans
+// it from its stale pre-reconfiguration spec. The resulting epoch is
+// completely self-consistent — its table passes Check against its own
+// guarantees, nobody loses a guarantee, the trace agrees — and only the
+// committed OpReconfigure's obligations reveal the lie.
 //
 // vm1's latency goal tightens from 20 ms to 5 ms mid-run. The correct
 // incremental planner marks vm1 dirty and re-synthesizes its core; the
-// defective one pins it with the stale 20 ms reservation.
+// defective one pins it with the stale 20 ms reservation. A plain
+// planner routed through the same backend hook stays clean, so the
+// hook is not what the oracle convicts.
 func TestMutationSmokeStaleSliceReuse(t *testing.T) {
 	sc := &Scenario{
 		Seed:  11,
@@ -158,18 +190,23 @@ func TestMutationSmokeStaleSliceReuse(t *testing.T) {
 		Replan: &ReplanSpec{At: 60_000_000, Slot: 1, NewGoal: 5_000_000},
 	}
 
-	clean, err := runWith(sc, runKnobs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := CheckAll(clean); len(vs) != 0 {
-		t.Fatalf("correct incremental planner flagged: %v", vs)
-	}
-	if len(clean.Transitions) != 2 {
-		t.Fatalf("expected 2 transitions (arrival, reconfigure), got %+v", clean.Transitions)
+	for _, k := range []struct {
+		name string
+		knob runKnobs
+	}{{"incremental", runKnobs{}}, {"via planner.Plan", runKnobs{planVia: planner.Plan}}} {
+		clean, err := runWith(sc, k.knob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs := CheckAll(clean); len(vs) != 0 {
+			t.Fatalf("correct planner (%s) flagged: %v", k.name, vs)
+		}
+		if len(clean.Transitions) != 2 {
+			t.Fatalf("expected 2 transitions (arrival, reconfigure), got %+v", clean.Transitions)
+		}
 	}
 
-	evil, err := runWith(sc, runKnobs{staleSlice: true})
+	evil, err := runWith(sc, runKnobs{planVia: stalePlanVia()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +219,7 @@ func TestMutationSmokeStaleSliceReuse(t *testing.T) {
 	found := false
 	for _, v := range CheckAll(evil) {
 		if v.Class == ClassContinuity {
+			t.Logf("convicted: %s", v)
 			found = true
 			break
 		}

@@ -42,8 +42,8 @@ func verdict(err error) string {
 // verdict, and each vCPU (matched by name) must keep the same
 // guarantee — same reserved service, same window, same blackout
 // bound. The raw table layout is deliberately NOT compared: worst-fit
-// ties and coalescing donations are order-sensitive by design; the
-// contract is the guarantee, not the placement.
+// ties are order-sensitive by design; the contract is the guarantee,
+// not the placement.
 func CheckMetamorphicPermute(sc *Scenario, permSeed int64) []Violation {
 	specs := specsOf(sc)
 	perm := make([]planner.VCPUSpec, len(specs))

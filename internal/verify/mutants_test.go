@@ -51,9 +51,9 @@ func TestMutationSmokeBaseline(t *testing.T) {
 // scheduler that silently drops one vCPU's reservations.
 func TestMutationSmokeStarve(t *testing.T) {
 	sc := mutantScenario(t)
-	art, err := run(sc, func(inner vmm.Scheduler) vmm.Scheduler {
+	art, err := runWith(sc, runKnobs{wrap: func(inner vmm.Scheduler) vmm.Scheduler {
 		return newStarveMutant(inner, 0)
-	}, false)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,9 @@ func TestMutationSmokeStarve(t *testing.T) {
 func TestMutationSmokeDelay(t *testing.T) {
 	sc := mutantScenario(t)
 	delay := 2 * sc.VMs[0].LatencyGoal
-	art, err := run(sc, func(inner vmm.Scheduler) vmm.Scheduler {
+	art, err := runWith(sc, runKnobs{wrap: func(inner vmm.Scheduler) vmm.Scheduler {
 		return newDelayMutant(inner, 0, delay)
-	}, false)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,9 @@ func TestMutationSmokeDelay(t *testing.T) {
 // machine's ground truth.
 func TestMutationSmokePhantom(t *testing.T) {
 	sc := mutantScenario(t)
-	art, err := run(sc, func(inner vmm.Scheduler) vmm.Scheduler {
+	art, err := runWith(sc, runKnobs{wrap: func(inner vmm.Scheduler) vmm.Scheduler {
 		return newPhantomMutant(inner, 0, 5)
-	}, false)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestShrinkFindsSmallerRepro(t *testing.T) {
 		if len(sc.VMs) == 0 {
 			return false
 		}
-		art, err := run(sc, func(inner vmm.Scheduler) vmm.Scheduler {
+		art, err := runWith(sc, runKnobs{wrap: func(inner vmm.Scheduler) vmm.Scheduler {
 			return newStarveMutant(inner, 0)
-		}, false)
+		}})
 		if err != nil {
 			return false
 		}

@@ -92,22 +92,15 @@ func Run(sc *Scenario) (*Artifacts, error) {
 	return runWith(sc, runKnobs{})
 }
 
-// run keeps the historical mutation-smoke signature: an optional
-// scheduler wrapper and the UnsafeShedLSFirst switch.
-func run(sc *Scenario, wrap func(inner vmm.Scheduler) vmm.Scheduler, shedLSFirst bool) (*Artifacts, error) {
-	return runWith(sc, runKnobs{wrap: wrap, shedLSFirst: shedLSFirst})
-}
-
-// runKnobs selects run variants for tests: mutation-smoke defect
-// switches and planning-path overrides.
+// runKnobs selects run variants for tests: mutation-smoke defects and
+// planning-path overrides.
 type runKnobs struct {
 	// wrap installs an intentionally broken scheduler variant between
 	// the dispatcher and the machine.
 	wrap func(inner vmm.Scheduler) vmm.Scheduler
-	// shedLSFirst arms the Controller's UnsafeShedLSFirst defect.
-	shedLSFirst bool
-	// staleSlice arms the planner's UnsafeStaleSliceReuse defect.
-	staleSlice bool
+	// planVia, when set, is the controller's planning backend
+	// (Controller.PlanVia).
+	planVia core.PlanFunc
 	// scratch disables incremental replanning and the slice memo so
 	// every controller plan is computed from scratch.
 	scratch bool
@@ -123,7 +116,6 @@ func runWith(sc *Scenario, k runKnobs) (*Artifacts, error) {
 		sys.Cache = planner.NewCache(0)
 		sys.Incremental = true
 	}
-	sys.UnsafeStaleSliceReuse = k.staleSlice
 	for slot := 0; slot < sc.NumSlots(); slot++ {
 		vm := sc.VM(slot)
 		id, err := sys.AddVM(core.VMConfig{
@@ -196,7 +188,7 @@ func runWith(sc *Scenario, k runKnobs) (*Artifacts, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verify: %s: %w", sc, err)
 		}
-		ctrl.UnsafeShedLSFirst = k.shedLSFirst
+		ctrl.PlanVia = k.planVia
 		if !k.scratch {
 			// The tracer records each installed epoch's plan origin for
 			// the oracles.
