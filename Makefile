@@ -90,17 +90,21 @@ churn-short:
 
 # Crash-recovery gate: the journal codec, store and crash injector test
 # suites (the segment MemStore against its flat model, compaction
-# included; the FileStore's failed-append rule; truncation and compaction
-# through a failing write, fsync or directory fsync recovering the same
-# state; the Replay aliasing contract), the table decoder's
-# differential and sharing walls, the ~120-scenario quick crash matrix
-# (seeded crash storms → recovery-equivalence + crash-seam oracles, zero
-# violations), the crashchaos CSV determinism check (byte-identical
-# across runs and -parallel settings), and core's recovery tests — among
-# them the journal-image golden (formats pinned by digest),
-# TestRecoveredHistoryEqualsLive, and compaction keyed to the epoch ring
-# (a compacted journal recovers exactly what the long one does, every
-# crash kind, rollback re-commit included).
+# included; its read-only image contract — a one-segment Load is the
+# store's own memory, NewMemStoreFrom adopts its seed; the FileStore's
+# failed-append rule; truncation and compaction through a failing write,
+# fsync or directory fsync recovering the same state; the Replay aliasing
+# contract and its shared slot names), the table decoder's differential
+# and sharing walls (cores and vCPU names), the ~120-scenario quick crash
+# matrix (seeded crash storms → recovery-equivalence + crash-seam
+# oracles, zero violations), the crashchaos CSV determinism check
+# (byte-identical across runs and -parallel settings), and core's
+# recovery tests — among them the journal-image golden (formats pinned
+# by digest), TestRecoveredHistoryEqualsLive, the dense Recover's
+# allocation ceiling (TestRecoverDenseAllocationCeiling: per record and
+# epoch, not per name), and compaction keyed to the epoch ring (a
+# compacted journal recovers exactly what the long one does, every crash
+# kind, rollback re-commit included).
 recover-short:
 	$(GO) test ./internal/journal ./internal/faults
 	$(GO) test ./internal/table -run 'TestDecode|TestEncode'
@@ -155,9 +159,12 @@ tenancy-short:
 # epochs equals a fresh remap (core failures, renamed slots, remote
 # plans and failed remaps included), and the allocation ceilings that
 # say the scratch really is reused: a warm small-host plan, the table
-# checkers, a mixed-shape Place+Depart pair, a warm dense flush.
+# checkers, a mixed-shape Place+Depart pair, a warm dense flush, and the
+# per-core EDF simulation (jobs by value: its allocations grow with the
+# slices' log-growth, not with the jobs released).
 plan-short:
 	$(GO) test ./internal/planner -run 'TestPlanDigests|TestDeltaGate|TestSmallHostPlanAllocationCeiling'
+	$(GO) test ./internal/periodic -run 'TestSimulateEDFAllocatesPerSimulationNotPerJob'
 	$(GO) test -race -count=3 ./internal/planner -run 'TestPlanResultOwnsItsMemory|TestConcurrentPlanStress|TestCacheConcurrent'
 	$(GO) test ./internal/table -run 'TestCheckAndValidateAllocateNothing|TestValidateDelta|TestCheckSubset'
 	$(GO) test ./internal/fleet -run 'TestMixedPlaceDepartAllocationCeiling'

@@ -64,7 +64,8 @@ type RecoveryReport struct {
 	// RecoveredVersion and RecoveredBytes identify the epoch the
 	// controller resumed on: the last intact record's version and table
 	// encoding (the recovery-equivalence oracle compares these
-	// bit-for-bit against the pre-crash ground truth).
+	// bit-for-bit against the pre-crash ground truth). RecoveredBytes is
+	// that epoch's own Epoch.Bytes, not a copy: read-only.
 	RecoveredVersion uint64
 	RecoveredBytes   []byte
 	// Slots is the population snapshot of that record — every slot of the
@@ -89,16 +90,18 @@ type RecoveryReport struct {
 // truncated from the store before the journal is re-attached, so new
 // epochs append after the last intact record.
 //
-// It is one pass over the image. The replayed records alias it; the
-// kept epochs are decoded oldest to newest, each sharing with its
-// predecessor the cores whose wire segments did not change
-// (table.DecodeBytesSharing) — what the live ring shares through the
-// incremental planner, the recovered ring shares too — and each kept
-// epoch's table bytes are copied exactly once, into the ring: an epoch
-// that aliased the image would pin all of it for as long as it
-// survives. Epochs dropped by MaxHistory are neither decoded nor
-// copied. Every table is still decoded here, in full and checked, so a
-// record that passes its CRC but holds an undecodable table fails
+// It is one pass over the image, which it reads and never writes (a
+// store may hand out its own memory from Load). The replayed records
+// alias it; the kept epochs are decoded oldest to newest, each sharing
+// with its predecessor the cores whose wire segments did not change and
+// the vCPU names that did not (table.DecodeBytesSharing) — what the live
+// ring shares through the incremental planner, the recovered ring
+// shares too — and each kept epoch's table bytes are copied exactly
+// once, into the ring: an epoch that aliased the image would pin all of
+// it for as long as it survives. The report's RecoveredBytes is the last
+// kept epoch's copy. Epochs dropped by MaxHistory are neither decoded
+// nor copied. Every table is still decoded here, in full and checked, so
+// a record that passes its CRC but holds an undecodable table fails
 // Recover rather than a later History reader.
 //
 // The returned controller owns the store (via its journal writer):
@@ -166,7 +169,7 @@ func Recover(store journal.Store, opts RecoverOptions) (*Controller, *dispatch.D
 	}
 	last := keep[len(keep)-1]
 	report.RecoveredVersion = last.Version
-	report.RecoveredBytes = append([]byte(nil), last.TableBytes...)
+	report.RecoveredBytes = prev.Bytes
 	report.Slots = last.Slots
 
 	// Rebuild the population from the last record's snapshot.

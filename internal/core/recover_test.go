@@ -431,6 +431,28 @@ func TestEmergencyRollbackAfterMaxHistoryTrim(t *testing.T) {
 	}
 }
 
+// TestRecoverDenseAllocationCeiling: one Recover of the benchmark's
+// dense journal (101 records, 192 slots, MaxHistory 64) allocates per
+// record and per kept epoch — a record's slices, a table, its bytes —
+// not per name: a slot or vCPU name that did not change from the record
+// or table before is that one's string. The image is loaded without a
+// copy.
+func TestRecoverDenseAllocationCeiling(t *testing.T) {
+	_, store := denseJournaledHost(t, 1, 100)
+	allocs := testing.AllocsPerRun(3, func() {
+		_, _, rep, err := Recover(store, RecoverOptions{MaxHistory: 64, Incremental: true, Sink: benchSink{}})
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if rep.Replayed != 101 {
+			t.Fatalf("replayed %d records, want 101", rep.Replayed)
+		}
+	})
+	if allocs > 2000 {
+		t.Errorf("one Recover of the dense journal allocates %.0f objects, ceiling 2000", allocs)
+	}
+}
+
 // fixedImageStore hands Recover one known image to replay.
 type fixedImageStore struct {
 	journal.Store

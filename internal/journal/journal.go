@@ -200,6 +200,8 @@ type Replay struct {
 // header is a hard error (nothing is recoverable); anything after a
 // valid header degrades to a truncated-tail Replay, never an error —
 // crash recovery must make progress from whatever prefix survived.
+// A slot name equal to the previous record's at the same index is that
+// record's string, not a new one.
 func DecodeAll(data []byte) (*Replay, error) {
 	if len(data) < HeaderSize {
 		return nil, fmt.Errorf("journal: image too short for header (%d bytes)", len(data))
@@ -213,7 +215,11 @@ func DecodeAll(data []byte) (*Replay, error) {
 	rep := &Replay{Good: HeaderSize}
 	off := HeaderSize
 	for off < len(data) {
-		rec, next, err := decodeRecord(data, off)
+		var prev *EpochRecord
+		if n := len(rep.Records); n > 0 {
+			prev = &rep.Records[n-1]
+		}
+		rec, next, err := decodeRecord(data, off, prev)
 		if err != nil {
 			rep.TailErr = err
 			break
@@ -260,9 +266,10 @@ func frameLen(b []byte) (int, error) {
 }
 
 // decodeRecord decodes the framed record at off, returning it and the
-// offset of the next record. Any shortfall or mismatch is an error the
-// caller treats as the torn/corrupt tail.
-func decodeRecord(data []byte, off int) (EpochRecord, int, error) {
+// offset of the next record; prev (nil for the first) is the record
+// decoded before it, whose unchanged slot names it reuses. Any shortfall
+// or mismatch is an error the caller treats as the torn/corrupt tail.
+func decodeRecord(data []byte, off int, prev *EpochRecord) (EpochRecord, int, error) {
 	le := binary.LittleEndian
 	if len(data)-off < frameOverhead {
 		return EpochRecord{}, 0, fmt.Errorf("journal: torn frame at offset %d (%d bytes)", off, len(data)-off)
@@ -280,7 +287,7 @@ func decodeRecord(data []byte, off int) (EpochRecord, int, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return EpochRecord{}, 0, fmt.Errorf("journal: CRC mismatch at offset %d (got %08x, want %08x)", off, got, want)
 	}
-	rec, err := decodePayload(payload)
+	rec, err := decodePayload(payload, prev)
 	if err != nil {
 		return EpochRecord{}, 0, fmt.Errorf("journal: record at offset %d: %w", off, err)
 	}
@@ -347,7 +354,11 @@ func (p *payloadReader) count(what string) int {
 	return int(n)
 }
 
-func decodePayload(payload []byte) (EpochRecord, error) {
+// decodePayload decodes one record payload. A slot whose name bytes equal
+// those of prev's slot at the same index takes prev's string instead of
+// a new one: slot names almost never change from one epoch to the next,
+// and strings are immutable, so sharing one is safe.
+func decodePayload(payload []byte, prev *EpochRecord) (EpochRecord, error) {
 	p := &payloadReader{b: payload}
 	var rec EpochRecord
 	if kind := p.u8(); p.err == nil && kind != KindEpoch {
@@ -360,7 +371,12 @@ func decodePayload(payload []byte) (EpochRecord, error) {
 	rec.Slots = make([]SlotConfig, 0, min(nslots, allocChunk))
 	for i := 0; i < nslots && p.err == nil; i++ {
 		var s SlotConfig
-		s.Name = string(p.take(int(p.u16())))
+		name := p.take(int(p.u16()))
+		if prev != nil && i < len(prev.Slots) && prev.Slots[i].Name == string(name) {
+			s.Name = prev.Slots[i].Name
+		} else {
+			s.Name = string(name)
+		}
 		fl := p.u8()
 		if p.err == nil && fl&^(slotFlagCapped|slotFlagActive|slotFlagBE) != 0 {
 			return rec, fmt.Errorf("unknown slot flags %#x", fl)

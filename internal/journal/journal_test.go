@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tableau/internal/planner"
 	"tableau/internal/table"
@@ -111,6 +112,41 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(re, want.TableBytes) {
 			t.Errorf("record %d: re-encoded table differs from journaled bytes", i)
 		}
+	}
+}
+
+// TestDecodeAllSharesUnchangedNames: a slot whose name bytes equal those
+// of the previous record's slot at the same index is that record's
+// string, not a new one; a renamed slot, and a slot the previous record
+// did not have, get strings of their own. Sharing changes no value: the
+// records re-encode to the image.
+func TestDecodeAllSharesUnchangedNames(t *testing.T) {
+	r1, r2, r3 := testRecord(t, 1), testRecord(t, 2), testRecord(t, 3)
+	r2.Slots[1].Name = "b-renamed"
+	r3.Slots = append(r3.Slots, SlotConfig{Name: "extra", UtilNum: 1, UtilDen: 8, LatencyGoal: 30_000_000})
+	img := appendRecords(t, r1, r2, r3)
+	rep, err := DecodeAll(img)
+	if err != nil || rep.TailErr != nil || len(rep.Records) != 3 {
+		t.Fatalf("DecodeAll: %v, tail %v", err, rep.TailErr)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	for i := 1; i < len(rep.Records); i++ {
+		prev, cur := rep.Records[i-1], rep.Records[i]
+		for s, slot := range cur.Slots {
+			equal := s < len(prev.Slots) && slot.Name == prev.Slots[s].Name
+			if shared := s < len(prev.Slots) && same(slot.Name, prev.Slots[s].Name); shared != equal {
+				t.Errorf("record %d slot %d (%q): equal to the previous record's = %v, shared = %v", i, s, slot.Name, equal, shared)
+			}
+		}
+	}
+	reenc := AppendHeader(nil)
+	for i := range rep.Records {
+		if reenc, err = AppendRecord(reenc, &rep.Records[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(reenc, img) {
+		t.Fatal("the records decoded with shared names do not re-encode to the image")
 	}
 }
 

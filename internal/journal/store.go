@@ -13,13 +13,17 @@ import (
 // or an error is returned — though what actually survives a crash is
 // the store's business (the crash-point tests drive exactly that
 // boundary through faults.CrashStore).
+//
+// An image Load returns is for reading only: a store may hand out its
+// own memory rather than a copy, so neither the caller nor anyone it
+// passes the image to may write to it.
 type Store interface {
 	// Append appends one framed record (as produced by AppendRecord).
 	Append(rec []byte) error
 	// Sync makes previously appended bytes durable (fsync for files, a
 	// no-op for memory).
 	Sync() error
-	// Load returns the complete journal image for replay.
+	// Load returns the complete journal image for replay, read-only.
 	Load() ([]byte, error)
 	// Truncate drops every byte past offset n — recovery cuts a torn
 	// or corrupt tail back to the last intact record with it.
@@ -47,7 +51,11 @@ type Compactor interface {
 // segment per Append (a torn prefix from a crash injector is just a
 // short segment), so an append costs its record and never recopies the
 // journal, and a compaction drops leading segments without copying any.
-// Safe for concurrent use.
+//
+// A segment is never written once it is in the store: Append adds a new
+// one, and Truncate, Compact and the seed's split only reslice. That is
+// what lets Load hand out a one-segment store's memory instead of a
+// copy, and NewMemStoreFrom adopt its image. Safe for concurrent use.
 type MemStore struct {
 	mu     sync.Mutex
 	segs   [][]byte
@@ -61,10 +69,12 @@ func NewMemStore() *MemStore {
 	return NewMemStoreFrom(AppendHeader(nil))
 }
 
-// NewMemStoreFrom returns an in-memory store seeded with a copy of an
-// existing journal image (a crash-test's surviving bytes).
+// NewMemStoreFrom returns an in-memory store seeded with an existing
+// journal image (a crash-test's surviving bytes, another store's Load).
+// The store adopts the image, not a copy: the caller must not write to
+// it afterwards, and the store never does.
 func NewMemStoreFrom(image []byte) *MemStore {
-	return &MemStore{segs: [][]byte{bytes.Clone(image)}, size: len(image)}
+	return &MemStore{segs: [][]byte{image}, size: len(image)}
 }
 
 func (m *MemStore) Append(rec []byte) error {
@@ -87,13 +97,19 @@ func (m *MemStore) Sync() error {
 	return nil
 }
 
-// Load concatenates the segments into one image the caller owns: later
-// appends and truncations do not reach it.
+// Load returns the image read-only. A one-segment store (a seeded one
+// before any append or compaction) returns that segment itself, its
+// capacity clipped so an append to it reallocates; more segments are
+// joined into one new image. Either way later appends, truncations and
+// compactions do not reach an image already loaded.
 func (m *MemStore) Load() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, fmt.Errorf("journal: load from closed store")
+	}
+	if len(m.segs) == 1 {
+		return m.segs[0][:m.size:m.size], nil
 	}
 	return bytes.Join(m.segs, nil), nil
 }

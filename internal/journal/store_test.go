@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -58,8 +59,7 @@ func TestMemStoreMatchesFlatModel(t *testing.T) {
 		if got := mustLoad(t, st); !bytes.Equal(got, model) {
 			t.Fatalf("step %d: the image (%d bytes) differs from the model (%d bytes)", step, len(got), len(model))
 		}
-		// A loaded image belongs to the caller: nothing the store does
-		// afterwards reaches it.
+		// Nothing the store does after a Load reaches the image it gave.
 		if !bytes.Equal(held, heldWant) {
 			t.Fatalf("step %d: an image loaded earlier changed under its holder", step)
 		}
@@ -67,13 +67,50 @@ func TestMemStoreMatchesFlatModel(t *testing.T) {
 	if err := st.Truncate(-1); err == nil {
 		t.Fatal("negative truncate accepted")
 	}
-	// And the caller may scribble on what it loaded.
-	img := mustLoad(t, st)
-	for i := range img {
-		img[i] ^= 0xff
+}
+
+// TestMemStoreHandsOverItsImage pins the read-only image contract. A
+// segment is never written once it is in the store, so NewMemStoreFrom
+// adopts the bytes it is given and a one-segment store's Load is that
+// segment: no copy, no allocation. The image is clipped, so appending to
+// it reallocates, and an image already loaded is unchanged by whatever
+// the store does next — an append, a truncation, a compaction.
+func TestMemStoreHandsOverItsImage(t *testing.T) {
+	img := appendRecords(t, testRecord(t, 1), testRecord(t, 2), testRecord(t, 3))
+	seed := make([]byte, len(img), len(img)+64) // room an append could write into
+	copy(seed, img)
+	st := NewMemStoreFrom(seed)
+	if &st.segs[0][0] != &seed[0] {
+		t.Fatal("NewMemStoreFrom copied the image it was given")
 	}
-	if !bytes.Equal(mustLoad(t, st), model) {
-		t.Fatal("writing to a loaded image changed the store")
+	var held []byte
+	if allocs := testing.AllocsPerRun(100, func() { held = mustLoad(t, st) }); allocs != 0 {
+		t.Errorf("loading a one-segment store allocates %.0f times, want 0", allocs)
+	}
+	if &held[0] != &seed[0] || !bytes.Equal(held, img) {
+		t.Fatal("a one-segment store's Load is not the seed's own memory")
+	}
+	if grown := append(held, 0xee); &grown[0] == &seed[0] {
+		t.Fatal("appending to a loaded image wrote into the store's memory")
+	}
+
+	rec := mustEncode(t, testRecord(t, 4))
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"an append", func() error { return st.Append(rec) }},
+		{"a torn append", func() error { return st.Append(rec[:len(rec)/2]) }},
+		{"a truncation", func() error { return st.Truncate(int64(recordsEnd(t, img, 2))) }},
+		{"a compaction", func() error { return st.Compact(1) }},
+		{"another append", func() error { return st.Append(rec) }},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !bytes.Equal(held, img) {
+			t.Fatalf("an image loaded earlier changed under its holder after %s", step.name)
+		}
 	}
 }
 
@@ -115,7 +152,9 @@ func TestMemStoreCompactMatchesFlatModel(t *testing.T) {
 	for v := uint64(1); v <= 5; v++ {
 		recs = append(recs, mustEncode(t, testRecord(t, v)))
 	}
-	model := bytes.Join(append([][]byte{AppendHeader(nil)}, recs[:3]...), nil)
+	// The store adopts its seed, and the model grows by appending: clip
+	// it, so the model's appends never write bytes the store still holds.
+	model := slices.Clip(bytes.Join(append([][]byte{AppendHeader(nil)}, recs[:3]...), nil))
 	st := NewMemStoreFrom(model)
 	for step := 0; step < 1000; step++ {
 		switch op := rng.Intn(6); {

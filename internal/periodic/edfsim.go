@@ -1,9 +1,6 @@
 package periodic
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // A Slot is a half-open interval [Start, End) during which a single task
 // executes on one processor. Task is an index into the simulated task
@@ -41,12 +38,14 @@ type edfJob struct {
 	started     bool
 }
 
-// edfHeap orders jobs by (absolute deadline, release, task index) so the
-// simulation is fully deterministic.
-type edfHeap []*edfJob
+// edfHeap is a binary min-heap of pending jobs, held by value so a
+// release costs no allocation, ordered by (absolute deadline, release,
+// task index). A task releases one job per instant, so the key is unique
+// per job and the pop order — and with it the whole simulation — is
+// fully deterministic.
+type edfHeap []edfJob
 
-func (h edfHeap) Len() int { return len(h) }
-func (h edfHeap) Less(i, j int) bool {
+func (h edfHeap) less(i, j int) bool {
 	if h[i].absDeadline != h[j].absDeadline {
 		return h[i].absDeadline < h[j].absDeadline
 	}
@@ -55,15 +54,41 @@ func (h edfHeap) Less(i, j int) bool {
 	}
 	return h[i].task < h[j].task
 }
-func (h edfHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *edfHeap) Push(x interface{}) { *h = append(*h, x.(*edfJob)) }
-func (h *edfHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
+
+func (h *edfHeap) push(j edfJob) {
+	*h = append(*h, j)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes the top job.
+func (h *edfHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 }
 
 // DeadlineMissError reports the first deadline miss encountered by an EDF
@@ -97,8 +122,7 @@ func SimulateEDF(ts TaskSet, horizon int64) (*EDFResult, error) {
 	}
 
 	res := &EDFResult{}
-	ready := &edfHeap{}
-	heap.Init(ready)
+	var ready edfHeap
 
 	// nextRel[i] is the next release time of task i (or >= horizon when
 	// done releasing within the window).
@@ -118,7 +142,7 @@ func SimulateEDF(ts TaskSet, horizon int64) (*EDFResult, error) {
 	releaseUpTo := func(t int64) {
 		for i := range ts {
 			for nextRel[i] <= t && nextRel[i] < horizon {
-				heap.Push(ready, &edfJob{
+				ready.push(edfJob{
 					task:        i,
 					release:     nextRel[i],
 					absDeadline: nextRel[i] + ts[i].Deadline,
@@ -133,7 +157,7 @@ func SimulateEDF(ts TaskSet, horizon int64) (*EDFResult, error) {
 	lastTask := IdleTask
 	for t < horizon {
 		releaseUpTo(t)
-		if ready.Len() == 0 {
+		if len(ready) == 0 {
 			nxt := earliestRelease()
 			if nxt >= horizon {
 				break
@@ -142,7 +166,9 @@ func SimulateEDF(ts TaskSet, horizon int64) (*EDFResult, error) {
 			lastTask = IdleTask
 			continue
 		}
-		job := (*ready)[0]
+		// The top job, updated in place; the pointer is dead once a
+		// release may have grown the heap.
+		job := &ready[0]
 		// Feasibility check: the job must be able to finish by its
 		// deadline even if it runs uninterrupted from now on. Under EDF
 		// this detects every miss at the earliest possible moment.
@@ -176,12 +202,13 @@ func SimulateEDF(ts TaskSet, horizon int64) (*EDFResult, error) {
 			t = runUntil
 		}
 		if job.remaining == 0 {
-			heap.Pop(ready)
+			ready.pop()
 		} else {
 			// The job was cut short by a release; if the newly released
 			// job has an earlier deadline the current job is preempted.
+			task, release, started := job.task, job.release, job.started
 			releaseUpTo(t)
-			if (*ready)[0] != job && job.started {
+			if started && (ready[0].task != task || ready[0].release != release) {
 				res.Preemptions++
 			}
 		}

@@ -73,6 +73,29 @@ func TestSimulateEDFPreemption(t *testing.T) {
 	}
 }
 
+// TestSimulateEDFAllocatesPerSimulationNotPerJob: pending jobs live by
+// value in one heap slice, so simulating eight times the horizon — eight
+// times the job releases — costs only the log-growth of the slices, not
+// an allocation per job. The planner runs one simulation per core per
+// plan.
+func TestSimulateEDFAllocatesPerSimulationNotPerJob(t *testing.T) {
+	ts := benchSet(8)
+	h, err := ts.Hyperperiod()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(horizon int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := SimulateEDF(ts, horizon); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, eight := allocs(h), allocs(8*h); eight-one >= 10 {
+		t.Errorf("simulating 8H allocates %.0f objects, H %.0f: the difference grows with the jobs released", eight, one)
+	}
+}
+
 func TestSimulateEDFDeadlineMiss(t *testing.T) {
 	ts := TaskSet{
 		{Name: "a", WCET: 4, Deadline: 4, Period: 10},

@@ -48,9 +48,11 @@ func DecodeBytes(b []byte) (*Table, error) {
 // a compact segment determines the core completely under a given table
 // length. prevBytes must be prev's compact encoding (its length is
 // verified against prev.EncodedSizeCompact()); on any mismatch — a nil
-// prev, another length or core count, a non-compact prevBytes — nothing
-// is shared and the call is DecodeBytes. The result is deep-equal to
-// what DecodeBytes returns for b either way.
+// prev, another length or core count, a non-compact prevBytes — no core
+// is shared. A vCPU whose name bytes equal those of prev's vCPU at the
+// same index takes prev's name string whatever prevBytes is (strings are
+// immutable). The result is deep-equal to what DecodeBytes returns for b
+// either way.
 func DecodeBytesSharing(b []byte, prev *Table, prevBytes []byte) (*Table, error) {
 	le := binary.LittleEndian
 	short := func(what string, at int) error {
@@ -87,7 +89,11 @@ func DecodeBytesSharing(b []byte, prev *Table, prevBytes []byte) (*Table, error)
 		}
 		o += 2
 		v := &t.VCPUs[i]
-		v.Name = string(b[o : o+nl])
+		if name := b[o : o+nl]; prev != nil && i < len(prev.VCPUs) && prev.VCPUs[i].Name == string(name) {
+			v.Name = prev.VCPUs[i].Name
+		} else {
+			v.Name = string(name)
+		}
 		o += nl
 		v.Capped = b[o]&flagCapped != 0
 		v.Split = b[o]&flagSplit != 0

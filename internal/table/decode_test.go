@@ -13,7 +13,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"tableau/internal/planner"
 	"tableau/internal/table"
@@ -357,6 +359,65 @@ func TestDecodeSharingEqualsPlain(t *testing.T) {
 	nothing("another core count", &fewer, encs[epochs-2])
 	nothing("a non-compact previous encoding", older, table.AppendLegacy(nil, older))
 	nothing("no previous bytes", older, nil)
+}
+
+// TestDecodeSharingSharesUnchangedNames: a vCPU whose name bytes equal
+// those of prev's vCPU at the same index takes prev's string, whether or
+// not any core is shared; a renamed vCPU, and one prev does not have,
+// get strings of their own; and the table is DecodeBytes's either way.
+func TestDecodeSharingSharesUnchangedNames(t *testing.T) {
+	encs := denseChain(t, 2)
+	prev, err := table.DecodeBytes(encs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	check := func(name string, enc []byte, prev *table.Table, prevEnc []byte) {
+		t.Run(name, func(t *testing.T) {
+			got, err := table.DecodeBytesSharing(enc, prev, prevEnc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := table.DecodeBytes(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("the sharing decode differs from the plain one")
+			}
+			sharedNames := 0
+			for i, v := range got.VCPUs {
+				equal := i < len(prev.VCPUs) && v.Name == prev.VCPUs[i].Name
+				shared := i < len(prev.VCPUs) && same(v.Name, prev.VCPUs[i].Name)
+				if shared != equal {
+					t.Fatalf("vCPU %d (%q): equal to prev's = %v, shared = %v", i, v.Name, equal, shared)
+				}
+				if shared {
+					sharedNames++
+				}
+			}
+			if sharedNames == 0 {
+				t.Fatal("no name was shared; the case proves nothing")
+			}
+		})
+	}
+	check("the next epoch", encs[1], prev, encs[0])
+	check("another table length, no cores shared", encs[1], &table.Table{Len: prev.Len * 2, VCPUs: prev.VCPUs}, nil)
+
+	renamed, err := table.DecodeBytes(encs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed.VCPUs = slices.Clone(renamed.VCPUs)
+	renamed.VCPUs[5].Name = "renamed"
+	enc, err := renamed.AppendEncodedCompact(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("one vCPU renamed", enc, prev, encs[0])
+	fewer := *prev
+	fewer.VCPUs = prev.VCPUs[:len(prev.VCPUs)/2]
+	check("prev has fewer vCPUs", enc, &fewer, nil)
 }
 
 // TestDecodeLegacyGolden: an image written by the encoder that still put

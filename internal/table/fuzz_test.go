@@ -70,7 +70,14 @@ func corpusTables(tb testing.TB) [][]byte {
 }
 
 func FuzzTableDecode(f *testing.F) {
-	for _, enc := range corpusTables(f) {
+	corpus := corpusTables(f)
+	// The previous epoch a sharing decode may adopt cores and names from.
+	prevEnc := corpus[1]
+	prev, err := table.DecodeBytes(prevEnc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, enc := range corpus {
 		f.Add(enc)
 		// Truncations and bit flips of canonical encodings steer the
 		// fuzzer into every section of the format.
@@ -90,11 +97,20 @@ func FuzzTableDecode(f *testing.F) {
 		if (err == nil) != (rerr == nil) {
 			t.Fatalf("DecodeBytes err = %v, reference err = %v", err, rerr)
 		}
+		// Sharing with a previous epoch changes memory, never the verdict
+		// or the table.
+		shared, serr := table.DecodeBytesSharing(data, prev, prevEnc)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("DecodeBytes err = %v, DecodeBytesSharing err = %v", err, serr)
+		}
 		if err != nil {
 			return // rejected, fine — just must not panic
 		}
 		if !reflect.DeepEqual(tbl, ref) {
 			t.Fatal("DecodeBytes and the reference decoder disagree on an accepted table")
+		}
+		if !reflect.DeepEqual(shared, tbl) {
+			t.Fatal("DecodeBytesSharing and DecodeBytes disagree on an accepted table")
 		}
 		// An accepted table must uphold every dispatcher-facing
 		// invariant, not merely have parsed.
