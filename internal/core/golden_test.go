@@ -159,6 +159,55 @@ func imageDigest(tb testing.TB, store *journal.MemStore) string {
 	return fmt.Sprintf("%x bytes=%d records=%d", sha256.Sum256(image), len(image), len(rep.Records))
 }
 
+// legacyImage is a journal written when every record carried its whole
+// epoch: the MemStore image of mixedJournaledHost(t, 11, 8), nine full
+// records. legacyDigest holds the epochDigest of the epoch it recovers to
+// as recorded when the image was written.
+const (
+	legacyImage  = "testdata/legacy_full_mixed8x8.tbjl"
+	legacyDigest = "testdata/legacy_full_mixed8x8.digest"
+)
+
+// epochDigest names an epoch by content: its version, the SHA-256 of its
+// table's wire encoding, and its guarantees.
+func epochDigest(tb testing.TB, ep Epoch) string {
+	tb.Helper()
+	ep, err := ep.Encoded()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(ep.Bytes)
+	for _, g := range ep.Guarantees {
+		fmt.Fprintf(h, "|%d %d %d %d", g.VCPU, g.Service, g.WindowLen, g.MaxBlackout)
+	}
+	return fmt.Sprintf("v%d %x", ep.Version, h.Sum(nil))
+}
+
+// TestRecoverLegacyFullImage: a journal of full records only, as every
+// journal was before delta records, still recovers — to the epoch it
+// recovered to when it was written.
+func TestRecoverLegacyFullImage(t *testing.T) {
+	img, err := os.ReadFile(legacyImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(legacyDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, _, rep, err := Recover(journal.NewMemStoreFrom(img), RecoverOptions{Sink: benchSink{}})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rep.TailErr != nil || rep.Replayed != 9 {
+		t.Fatalf("replayed %d records (tail %v), want 9 clean", rep.Replayed, rep.TailErr)
+	}
+	if got := epochDigest(t, rc.Epoch()); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("the legacy image recovers to %s, it was written at %s", got, strings.TrimSpace(string(want)))
+	}
+}
+
 func TestJournalImageGolden(t *testing.T) {
 	_, mixed := mixedJournaledHost(t, 11, 40)
 	_, dense := denseJournaledHost(t, 12, 20)
