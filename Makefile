@@ -100,17 +100,23 @@ churn-short:
 # oracles, zero violations), the crashchaos CSV determinism check
 # (byte-identical across runs and -parallel settings), and core's
 # recovery tests — among them the journal-image golden (formats pinned
-# by digest), TestRecoveredHistoryEqualsLive, the dense Recover's
-# allocation ceiling (TestRecoverDenseAllocationCeiling: per record and
-# epoch, not per name), and compaction keyed to the epoch ring (a
-# compacted journal recovers exactly what the long one does, every crash
-# kind, rollback re-commit included).
+# by digest) and the full-record image written before delta records,
+# TestRecoveredHistoryEqualsLive, the dense Recover's allocation
+# ceilings (TestRecoverDenseAllocationCeiling: per record, not per name,
+# and what changed, not whole epochs), compaction keyed to the epoch
+# ring and cut at checkpoints (a compacted journal recovers exactly what
+# the long one does, every crash kind, rollback re-commit included), the
+# delta ≡ full wall (TestDeltaRecordsRecoverAsFull: the same scripts
+# journaled in full records recover the same), the writer rule
+# (TestFlushDeltaNeedsItsOwnRecord: a delta only on the current epoch's
+# own record) and the dense record size (TestDenseDeltaRecordSize); the
+# table's delta codec walls run with the decoder's (TestDecodeDelta*).
 recover-short:
 	$(GO) test ./internal/journal ./internal/faults
 	$(GO) test ./internal/table -run 'TestDecode|TestEncode'
 	$(GO) test -short ./internal/verify -run 'TestCrash|TestGenerateCrashScenario|TestRunCrash'
 	$(GO) test ./internal/experiments -run 'TestCrashChaosDeterminism' -v
-	$(GO) test ./internal/core -run 'TestJournal|TestRecover|TestClose|TestAttachJournal|TestEmergencyRollback|TestCompaction'
+	$(GO) test ./internal/core -run 'TestJournal|TestRecover|TestClose|TestAttachJournal|TestEmergencyRollback|TestCompaction|TestDeltaRecords|TestFlushDelta|TestDenseDeltaRecordSize'
 
 # Fleet placement gate: the arbiter's unit + protocol tests — among
 # them the headroom board's wall (TestPickMatchesFivePassReference,

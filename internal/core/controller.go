@@ -103,11 +103,11 @@ type Rejection struct {
 // Epoch is one installed table version. Version equals the table's
 // Generation and increases monotonically. Bytes is the table's wire
 // encoding, and it exists exactly where a journal needs it: on a
-// journaled controller every epoch from the attach on carries it (the
-// journal record is made of it, and the next epoch's encode copies its
-// unchanged segments), while an unjournaled controller encodes nothing
-// and leaves Bytes nil. A reader that compares epochs bit for bit on an
-// unjournaled controller encodes on demand (Encoded).
+// journaled controller, live or recovered, the current epoch carries it
+// (a full journal record is made of it, and the next epoch's encode
+// copies its unchanged segments) and drops it once superseded, while an
+// unjournaled controller encodes nothing. A reader that compares epochs
+// bit for bit encodes on demand (Encoded).
 type Epoch struct {
 	Version    uint64
 	Table      *table.Table
@@ -185,7 +185,7 @@ type Controller struct {
 	PlanVia PlanFunc
 
 	// MaxHistory bounds the retained epoch history. Every committed
-	// epoch holds a full table plus its wire encoding, so an unbounded
+	// epoch holds a full table, so an unbounded
 	// history grows the live heap linearly with churn on a long-lived
 	// host. When positive, only the newest MaxHistory epochs are kept
 	// (never fewer than 2, so the emergency-rollback predecessor stays
@@ -211,10 +211,13 @@ type Controller struct {
 	// history. Set via AttachJournal, or by Recover when resuming from
 	// a previous journal.
 	journal *journal.Writer
-	// journaled lists the versions of the records the journal holds,
-	// oldest first — what compaction needs to find its cut. It is kept
-	// only when the journal's store can compact (nil otherwise).
-	journaled []uint64
+	// journaled lists the records the journal holds, oldest first —
+	// what compaction needs to find its cut. It is kept only when the
+	// journal's store can compact (nil otherwise), and starts full.
+	journaled []journaledRecord
+	// delta is the buffer appendLocked encodes a table delta into, made
+	// with the first (a pointer: unjournaled controllers pay 8 bytes).
+	delta *[]byte
 
 	// closed is set by Close: Flush refuses further batches.
 	closed bool
@@ -232,6 +235,13 @@ func NewController(sys *System, sink TableSink, initial *planner.Result) (*Contr
 		c.history = append(c.history, ep)
 	}
 	return c, nil
+}
+
+// journaledRecord is a record of a compacting journal: its version,
+// and whether it is full.
+type journaledRecord struct {
+	version uint64
+	full    bool
 }
 
 // epochOf encodes tbl as the epoch after prev. Cores whose schedules are
@@ -290,7 +300,7 @@ func (c *Controller) AttachJournal(w *journal.Writer) error {
 	c.journal = w
 	c.journaled = nil
 	if w.CanCompact() {
-		c.journaled = append(c.journaled, c.epoch.Version)
+		c.journaled = append(c.journaled, journaledRecord{c.epoch.Version, true})
 	}
 	return nil
 }
@@ -563,6 +573,7 @@ func (c *Controller) Flush() (*Transition, error) {
 		return tr, perr
 	}
 	ep := Epoch{Version: tbl.Generation, Table: tbl, Guarantees: res.Guarantees}
+	full := false
 	if c.journal != nil {
 		// Only the journal reads an epoch's bytes, so only a journaled
 		// controller encodes. Names were bounded when their VMs were
@@ -576,7 +587,7 @@ func (c *Controller) Flush() (*Transition, error) {
 		// the journal and the epoch history never disagree.
 		var jerr error
 		if ep, jerr = epochOf(tbl, res.Guarantees, c.epoch); jerr == nil {
-			jerr = c.journal.Append(c.sys.journalRecordLocked(ep))
+			full, jerr = c.appendLocked(ep, false)
 		}
 		if jerr != nil {
 			if a, ok := c.sink.(stagedAborter); ok {
@@ -585,6 +596,10 @@ func (c *Controller) Flush() (*Transition, error) {
 			c.rollbackLocked(snap, tr, jerr)
 			return tr, jerr
 		}
+	}
+	if n := len(c.history); n > 0 {
+		// The superseded epoch's bytes have no reader left.
+		c.history[n-1].Bytes = nil
 	}
 	c.epoch = ep
 	c.history = append(c.history, ep)
@@ -598,7 +613,7 @@ func (c *Controller) Flush() (*Transition, error) {
 			c.history = c.history[:n]
 		}
 	}
-	c.journaledLocked(ep.Version)
+	c.journaledLocked(ep.Version, full)
 	c.stats.Transitions++
 	tr.Version = ep.Version
 	tr.Committed = applied
@@ -647,17 +662,19 @@ func (c *Controller) rollbackLocked(snap []slot, tr *Transition, err error) {
 				c.epoch = c.history[n-2]
 				if c.journal != nil {
 					// The withdrawn epoch's record is already durable, so
-					// re-commit the reverted-to epoch verbatim: replay then
+					// re-commit the reverted-to epoch verbatim (in full): replay then
 					// ends on the predecessor, matching the history.
 					// Recovery keeps version monotonicity by resuming from
 					// the journal's maximum version, not the last record's.
 					// Best effort — if the append fails the journal is left
 					// one (never-adopted) epoch ahead of the truth, which a
 					// post-recovery emergency replan supersedes anyway.
-					if ep, err := c.epoch.Encoded(); err == nil && c.journal.Append(c.sys.journalRecordLocked(ep)) == nil {
+					if ep, err := c.epoch.Encoded(); err == nil {
 						c.epoch = ep
 						c.history[len(c.history)-1] = ep
-						c.journaledLocked(c.epoch.Version)
+						if _, err := c.appendLocked(ep, true); err == nil {
+							c.journaledLocked(ep.Version, true)
+						}
 					}
 				}
 			}
@@ -665,23 +682,55 @@ func (c *Controller) rollbackLocked(snap []slot, tr *Transition, err error) {
 	}
 }
 
+// appendLocked journals ep, the epoch after c.epoch (or c.epoch itself,
+// re-committed), and reports whether the record is full. It is a delta
+// against c.epoch when the writer last appended c.epoch's own record,
+// unless full is set or a checkpoint is due: a compacting journal under
+// a bounded ring gets a full record every max(MaxHistory, 2) records, so
+// that compaction has one to cut at.
+func (c *Controller) appendLocked(ep Epoch, full bool) (bool, error) {
+	rec := c.sys.journalRecordLocked(ep)
+	last := len(c.journaled) - 1
+	for last > 0 && !c.journaled[last].full {
+		last--
+	}
+	full = full || !deltaRecords || c.MaxHistory > 0 && len(c.journaled)-last >= max(c.MaxHistory, 2)
+	if v, ok := c.journal.Last(); ok && v == c.epoch.Version && !full {
+		if c.delta == nil {
+			c.delta = new([]byte)
+		}
+		delta, err := ep.Table.AppendEncodedDelta((*c.delta)[:0], c.epoch.Table)
+		if err != nil {
+			return false, fmt.Errorf("core: encoding epoch %d's delta: %w", ep.Version, err)
+		}
+		*c.delta = delta
+		rec.Base, rec.TableDelta, rec.TableBytes = c.epoch.Version, delta, nil
+	}
+	return rec.TableDelta == nil, c.journal.Append(rec)
+}
+
+// deltaRecords lets appendLocked write deltas; the tests turn it off
+// (export_test.go) to check that full records recover the same.
+var deltaRecords = true
+
 // journaledLocked notes that the journal now ends with a record of
-// version v and, under a bounded ring, compacts it once it holds more
-// than twice the ring's worth of records: every record before the one
-// that first carried the epoch just below the ring is dropped. Versions
-// only grow except where a rollback re-commits an older epoch, so that
-// cut keeps every record from then on — the newest, and the one with
-// the maximum version Recover resumes numbering from — and the kept
-// suffix folds to the same ring the whole journal folds to. The margin
-// epoch below the ring is what keeps that true across an emergency
-// rollback: its re-commit pops the ring's top, and replay then reaches
-// one epoch deeper. A failed compaction only leaves the journal longer;
-// the epoch that got here is already committed.
-func (c *Controller) journaledLocked(v uint64) {
+// version v, full or a delta, and, under a bounded ring, compacts it
+// once it holds more than twice the ring's worth of records: every
+// record before the newest full one at or before the record that first
+// carried the epoch just below the ring is dropped, so the kept suffix
+// starts full. Versions only grow except where a rollback re-commits an
+// older epoch, so that cut keeps every record from then on — the newest,
+// and the one with the maximum version Recover resumes numbering from —
+// and the kept suffix folds to the same ring the whole journal folds
+// to. The margin epoch below the ring is what keeps that true across an
+// emergency rollback: its re-commit pops the ring's top, and replay then
+// reaches one epoch deeper. A failed compaction only leaves the journal
+// longer; the epoch that got here is already committed.
+func (c *Controller) journaledLocked(v uint64, full bool) {
 	if c.journaled == nil || c.MaxHistory <= 0 {
 		return
 	}
-	c.journaled = append(c.journaled, v)
+	c.journaled = append(c.journaled, journaledRecord{v, full})
 	if len(c.journaled) <= 2*max(c.MaxHistory, 2) {
 		return
 	}
@@ -690,7 +739,7 @@ func (c *Controller) journaledLocked(v uint64) {
 	// ring's oldest epoch is the epoch just below the ring.
 	oldest, below, later := c.history[0].Version, uint64(0), ^uint64(0)
 	for i := len(c.journaled) - 1; i >= 0; i-- {
-		if jv := c.journaled[i]; jv < later {
+		if jv := c.journaled[i].version; jv < later {
 			if jv < oldest {
 				below = jv
 				break
@@ -699,8 +748,11 @@ func (c *Controller) journaledLocked(v uint64) {
 		}
 	}
 	n := 0
-	for n < len(c.journaled) && c.journaled[n] < below {
+	for n < len(c.journaled) && c.journaled[n].version < below {
 		n++
+	}
+	for n > 0 && !c.journaled[n].full {
+		n--
 	}
 	if n == 0 || c.journal.Compact(n) != nil {
 		return

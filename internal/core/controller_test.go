@@ -76,8 +76,9 @@ func activeBytes(t *testing.T, d *dispatch.Dispatcher) []byte {
 	return enc
 }
 
-// epochBytes is ep's wire encoding, encoded on demand when the
-// controller keeps no journal and so left ep without bytes.
+// epochBytes is ep's wire encoding, encoded on demand when ep carries
+// none: an unjournaled controller encodes nothing, and a journaled one
+// keeps bytes on its current epoch only.
 func epochBytes(t *testing.T, ep Epoch) []byte {
 	t.Helper()
 	ep, err := ep.Encoded()

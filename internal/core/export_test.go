@@ -10,3 +10,10 @@ func ShedLSFirst(t testing.TB) {
 	shedClass = LS
 	t.Cleanup(func() { shedClass = BE })
 }
+
+// forceFullRecords makes every journal record full until the test ends:
+// the knockout the delta records are checked against.
+func forceFullRecords(t testing.TB) {
+	deltaRecords = false
+	t.Cleanup(func() { deltaRecords = true })
+}

@@ -62,8 +62,14 @@ func denseOps(rng *rand.Rand, on, off *[]int) []Op {
 // after the given number of seeded three-slot churn flushes.
 func denseJournaledHost(tb testing.TB, seed int64, flushes int) (*Controller, *journal.MemStore) {
 	tb.Helper()
-	_, ctrl := stormRig(tb, true)
 	store := journal.NewMemStore()
+	return denseJournaledHostOn(tb, store, seed, flushes), store
+}
+
+// denseJournaledHostOn is denseJournaledHost journaling into store.
+func denseJournaledHostOn(tb testing.TB, store journal.Store, seed int64, flushes int) *Controller {
+	tb.Helper()
+	_, ctrl := stormRig(tb, true)
 	if err := ctrl.AttachJournal(journal.NewWriter(store)); err != nil {
 		tb.Fatal(err)
 	}
@@ -80,7 +86,7 @@ func denseJournaledHost(tb testing.TB, seed int64, flushes int) (*Controller, *j
 			tb.Fatalf("dense flush %d did not commit cleanly: %+v, %v", i, tr, err)
 		}
 	}
-	return ctrl, store
+	return ctrl
 }
 
 // mixedJournaledHost is a fleet-shaped host — 8 cores, a resident slot

@@ -65,7 +65,8 @@ type RecoveryReport struct {
 	// controller resumed on: the last intact record's version and table
 	// encoding (the recovery-equivalence oracle compares these
 	// bit-for-bit against the pre-crash ground truth). RecoveredBytes is
-	// that epoch's own Epoch.Bytes, not a copy: read-only.
+	// one encoding of that epoch's decoded table, its Epoch.Bytes while
+	// it is current: read-only.
 	RecoveredVersion uint64
 	RecoveredBytes   []byte
 	// Slots is the population snapshot of that record — every slot of the
@@ -92,17 +93,16 @@ type RecoveryReport struct {
 //
 // It is one pass over the image, which it reads and never writes (a
 // store may hand out its own memory from Load). The replayed records
-// alias it; the kept epochs are decoded oldest to newest, each sharing
-// with its predecessor the cores whose wire segments did not change and
-// the vCPU names that did not (table.DecodeBytesSharing) — what the live
-// ring shares through the incremental planner, the recovered ring
-// shares too — and each kept epoch's table bytes are copied exactly
-// once, into the ring: an epoch that aliased the image would pin all of
-// it for as long as it survives. The report's RecoveredBytes is the last
-// kept epoch's copy. Epochs dropped by MaxHistory are neither decoded
-// nor copied. Every table is still decoded here, in full and checked, so
-// a record that passes its CRC but holds an undecodable table fails
-// Recover rather than a later History reader.
+// alias it. The kept epochs' tables are the tail of the chain of
+// encodings from the full record at or before the first of them
+// (table.DecodeChain): the tables before are never built, and each kept
+// one shares with the one before it the cores and vCPU names that did
+// not change — what the live ring shares through the incremental
+// planner, the recovered ring shares too. No epoch keeps any of the
+// image: only the epoch resumed on carries bytes, one encoding of its
+// table, and the report's RecoveredBytes are those. Every kept table is
+// checked in full, so a record that passes its CRC but holds an
+// undecodable table fails Recover rather than a later History reader.
 //
 // The returned controller owns the store (via its journal writer):
 // every post-recovery Flush appends to the same journal, and a second
@@ -142,38 +142,43 @@ func Recover(store journal.Store, opts RecoverOptions) (*Controller, *dispatch.D
 			maxVersion = rec.Version
 		}
 	}
+	from := 0
 	if max := opts.MaxHistory; max > 0 {
 		if max < 2 {
 			max = 2
 		}
-		if len(keep) > max {
-			keep = keep[len(keep)-max:]
-		}
+		from = len(keep) - min(len(keep), max)
 	}
-	history := make([]Epoch, 0, len(keep))
-	var prev Epoch
-	for _, rec := range keep {
-		tbl, err := table.DecodeBytesSharing(rec.TableBytes, prev.Table, prev.Bytes)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: decoding replayed epoch %d: %w", rec.Version, err)
-		}
+	// The fold keeps a delta on its base and starts full: the kept window
+	// is the tail of the chain from the nearest full record before it.
+	start := from
+	for start > 0 && keep[start].TableDelta != nil {
+		start--
+	}
+	encs := make([][]byte, 0, len(keep)-start)
+	for i := start; i < len(keep); i++ {
+		encs = append(encs, keep[i].TableEncoding())
+	}
+	tables, err := table.DecodeChain(encs, len(keep)-from)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("core: decoding replayed epochs %d..%d: %w", keep[start].Version, keep[len(keep)-1].Version, err)
+	}
+	history := make([]Epoch, 0, len(tables))
+	for i, tbl := range tables {
 		// The replay is dropped when Recover returns, so the epoch takes
-		// the record's guarantees over; the bytes it copies out of the image.
-		prev = Epoch{
-			Version:    rec.Version,
-			Table:      tbl,
-			Guarantees: rec.Guarantees,
-			Bytes:      append([]byte(nil), rec.TableBytes...),
-		}
-		history = append(history, prev)
+		// the record's guarantees over.
+		history = append(history, Epoch{Version: keep[from+i].Version, Table: tbl, Guarantees: keep[from+i].Guarantees})
 	}
-	last := keep[len(keep)-1]
-	report.RecoveredVersion = last.Version
-	report.RecoveredBytes = prev.Bytes
+	last, top := keep[len(keep)-1], &history[len(history)-1]
+	if top.Bytes, err = top.Table.AppendEncodedCompact(nil); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: encoding recovered epoch %d: %w", top.Version, err)
+	}
+	report.RecoveredVersion = top.Version
+	report.RecoveredBytes = top.Bytes
 	report.Slots = last.Slots
 
 	// Rebuild the population from the last record's snapshot.
-	sys := NewSystem(len(prev.Table.Cores), opts.Planner, opts.Dispatch)
+	sys := NewSystem(len(top.Table.Cores), opts.Planner, opts.Dispatch)
 	sys.Incremental = opts.Incremental
 	for i, sc := range last.Slots {
 		class := LS
@@ -220,6 +225,7 @@ func Recover(store journal.Store, opts RecoverOptions) (*Controller, *dispatch.D
 			report.ReplanErr = err
 		} else {
 			report.Replanned = true
+			history[len(history)-1].Bytes = nil
 			history = append(history, ep)
 			if max := opts.MaxHistory; max > 0 && len(history) > max && len(history) > 2 {
 				history = history[1:]
@@ -245,12 +251,12 @@ func Recover(store journal.Store, opts RecoverOptions) (*Controller, *dispatch.D
 	if opts.MaxHistory > 0 && w.CanCompact() {
 		// The store holds the replayed records (the torn tail is cut) and
 		// the replanned one: compaction carries on from them.
-		c.journaled = make([]uint64, 0, len(rep.Records)+1)
+		c.journaled = make([]journaledRecord, 0, len(rep.Records)+1)
 		for _, rec := range rep.Records {
-			c.journaled = append(c.journaled, rec.Version)
+			c.journaled = append(c.journaled, journaledRecord{rec.Version, rec.TableDelta == nil})
 		}
 		if report.Replanned {
-			c.journaled = append(c.journaled, cur.Version)
+			c.journaled = append(c.journaled, journaledRecord{cur.Version, true})
 		}
 	}
 	return c, d, report, nil

@@ -110,7 +110,7 @@ func TestJournalCommitAndRecoverClean(t *testing.T) {
 		t.Fatalf("recovered history has %d epochs, want %d", len(recHist), len(liveHist))
 	}
 	for i := range liveHist {
-		if recHist[i].Version != liveHist[i].Version || !bytes.Equal(recHist[i].Bytes, liveHist[i].Bytes) {
+		if recHist[i].Version != liveHist[i].Version || !bytes.Equal(epochBytes(t, recHist[i]), epochBytes(t, liveHist[i])) {
 			t.Fatalf("epoch %d: recovered v%d differs from live v%d", i, recHist[i].Version, liveHist[i].Version)
 		}
 		if len(recHist[i].Guarantees) != len(liveHist[i].Guarantees) {
@@ -199,10 +199,10 @@ func TestRecoverCrashKinds(t *testing.T) {
 			if want.Version != wantVersion {
 				t.Fatalf("shadow history misaligned: %d at index %d", want.Version, wantVersion-1)
 			}
-			if !bytes.Equal(rep.RecoveredBytes, want.Bytes) {
+			if !bytes.Equal(rep.RecoveredBytes, epochBytes(t, want)) {
 				t.Fatal("recovered epoch is not bit-identical to the shadow's")
 			}
-			if !bytes.Equal(activeBytes(t, d2), want.Bytes) {
+			if !bytes.Equal(activeBytes(t, d2), epochBytes(t, want)) {
 				t.Fatal("recovered dispatcher is not on the recovered epoch")
 			}
 			if kind == faults.CrashTorn || kind == faults.CrashBitFlip {
@@ -433,12 +433,16 @@ func TestEmergencyRollbackAfterMaxHistoryTrim(t *testing.T) {
 
 // TestRecoverDenseAllocationCeiling: one Recover of the benchmark's
 // dense journal (101 records, 192 slots, MaxHistory 64) allocates per
-// record and per kept epoch — a record's slices, a table, its bytes —
-// not per name: a slot or vCPU name that did not change from the record
-// or table before is that one's string. The image is loaded without a
-// copy.
+// record — a record's slices, a table on the decode chain — not per name:
+// a slot or vCPU name that did not change from the record or table
+// before is that one's string. And it allocates what changed, not whole
+// epochs: the journal's records are deltas, and of the kept epochs only
+// the one resumed on is encoded. Full records and a copy of every kept
+// epoch's bytes made one Recover allocate 20 MB.
 func TestRecoverDenseAllocationCeiling(t *testing.T) {
 	_, store := denseJournaledHost(t, 1, 100)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(3, func() {
 		_, _, rep, err := Recover(store, RecoverOptions{MaxHistory: 64, Incremental: true, Sink: benchSink{}})
 		if err != nil {
@@ -448,8 +452,14 @@ func TestRecoverDenseAllocationCeiling(t *testing.T) {
 			t.Fatalf("replayed %d records, want 101", rep.Replayed)
 		}
 	})
+	runtime.ReadMemStats(&after)
+	perRecover := float64(after.TotalAlloc-before.TotalAlloc) / 4 // AllocsPerRun warms up with one extra run
+	t.Logf("%.0f objects, %.1f MB per Recover", allocs, perRecover/(1<<20))
 	if allocs > 2000 {
 		t.Errorf("one Recover of the dense journal allocates %.0f objects, ceiling 2000", allocs)
+	}
+	if perRecover > 10<<20 {
+		t.Errorf("one Recover of the dense journal allocates %.1f MB, ceiling 10", perRecover/(1<<20))
 	}
 }
 
@@ -462,10 +472,11 @@ type fixedImageStore struct {
 func (s fixedImageStore) Load() ([]byte, error) { return s.image, nil }
 
 // TestRecoveredHistoryEqualsLive: a dense controller's recovered ring is
-// the ring that crashed — epoch by epoch the same version, bytes,
-// guarantees and table — and it is built the way
-// the live one was: consecutive epochs share the cores that did not
-// change between them, instead of each carrying a private copy.
+// the ring that crashed — epoch by epoch the same version, table
+// encoding, guarantees and table, with wire bytes on the current epoch
+// only, live and recovered alike — and it is built the way the live one
+// was: consecutive epochs share the cores that did not change between
+// them, instead of each carrying a private copy.
 func TestRecoveredHistoryEqualsLive(t *testing.T) {
 	ctrl, store := denseJournaledHost(t, 5, 150)
 	live := ctrl.History()
@@ -488,7 +499,8 @@ func TestRecoveredHistoryEqualsLive(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	// The 129th record compacted the journal once, down to the record of
-	// v65, the epoch just below the 64-epoch ring; v66..v151 followed.
+	// v65, the epoch just below the 64-epoch ring and the checkpoint the
+	// 65th record was; v66..v151 followed.
 	if st := ctrl.ControllerStats(); rep.Replayed != 151-64 || st.Compactions != 1 {
 		t.Fatalf("replayed %d records after %d compactions, want %d after 1", rep.Replayed, st.Compactions, 151-64)
 	}
@@ -498,8 +510,12 @@ func TestRecoveredHistoryEqualsLive(t *testing.T) {
 	}
 	for i := range live {
 		l, r := live[i], recovered[i]
-		if r.Version != l.Version || !bytes.Equal(r.Bytes, l.Bytes) {
+		if r.Version != l.Version || !bytes.Equal(epochBytes(t, r), epochBytes(t, l)) {
 			t.Fatalf("epoch %d: recovered v%d differs from live v%d", i, r.Version, l.Version)
+		}
+		if current := i == len(live)-1; (l.Bytes != nil) != current || (r.Bytes != nil) != current {
+			t.Fatalf("epoch %d (v%d): live carries %d wire bytes, recovered %d; only the current epoch carries any",
+				i, l.Version, len(l.Bytes), len(r.Bytes))
 		}
 		if !reflect.DeepEqual(r.Guarantees, l.Guarantees) {
 			t.Fatalf("epoch %d (v%d): guarantees differ", i, l.Version)
@@ -558,14 +574,14 @@ func TestRecoveredHistoryEqualsLive(t *testing.T) {
 		t.Errorf("only %d of %d cores shared across consecutive epochs; the dense walk changes 3 of 16 cores a step", shared, shared+private)
 	}
 
-	// What the recovered controller keeps alive: 64 epochs' bytes (6 MB)
-	// and one index per changed core. Sixty-four private indices alone
-	// would be 37 MB.
+	// What the recovered controller keeps alive: 64 tables sharing their
+	// unchanged cores, and one epoch's bytes. Sixty-four epochs' bytes
+	// would be 6 MB more, and sixty-four private indices alone 37 MB.
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	t.Logf("recovered controller retains %.1f MB; one Recover allocated %.1f MB",
 		float64(retained)/(1<<20), float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
-	if !israce.Enabled && retained > 24<<20 {
-		t.Errorf("the recovered controller retains %.1f MB, want under 24", float64(retained)/(1<<20))
+	if !israce.Enabled && retained > 6<<20 {
+		t.Errorf("the recovered controller retains %.1f MB, want under 6", float64(retained)/(1<<20))
 	}
 	runtime.KeepAlive(rc)
 }

@@ -62,7 +62,12 @@ func RunCrashStorm(seed int64) (CrashPoint, error) {
 		return pt, err
 	}
 	pt.RecoveredVersion = int64(a.Report.RecoveredVersion)
-	pt.BitIdentical = bytes.Equal(a.Report.RecoveredBytes, a.Truth[sc.WantVersion-1].Bytes)
+	// A superseded shadow epoch carries no bytes: encode its table.
+	truth, err := a.Truth[sc.WantVersion-1].Encoded()
+	if err != nil {
+		return pt, err
+	}
+	pt.BitIdentical = bytes.Equal(a.Report.RecoveredBytes, truth.Bytes)
 	pt.TruncatedBytes = int64(a.Report.TruncatedBytes)
 	pt.Replanned = a.Report.Replanned
 	pt.SeamVersion = int64(a.SeamVersion)

@@ -15,7 +15,7 @@ func crashRecord(version uint64) []byte {
 			{Name: "vm", UtilNum: 1, UtilDen: 4, LatencyGoal: 30_000_000, Active: true},
 		},
 		TableBytes: []byte("payload-stand-in"),
-	})
+	}, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -371,7 +371,7 @@ func TestWriterPropagatesSyncFailure(t *testing.T) {
 
 func mustEncode(t *testing.T, r *EpochRecord) []byte {
 	t.Helper()
-	b, err := AppendRecord(nil, r)
+	b, err := AppendRecord(nil, r, nil)
 	if err != nil {
 		t.Fatalf("AppendRecord: %v", err)
 	}

@@ -5,12 +5,14 @@ package journal
 // never panic, never over-allocate on a hostile header, and never
 // return a Good offset that does not bound the intact records. The
 // corpus seeds are canonical journal images — realistic encodings whose
-// mutations explore the actual record structure. Run with `make fuzz`
-// (or `go test -fuzz FuzzJournalDecode`).
+// mutations explore the actual record structure, deltas among them. Run
+// with `make fuzz` (or `go test -fuzz FuzzJournalDecode`).
 
 import (
 	"bytes"
 	"testing"
+
+	"tableau/internal/table"
 )
 
 // corpusImages builds the seed images from hand-built records (no
@@ -22,7 +24,7 @@ func corpusImages(tb testing.TB) [][]byte {
 	out = append(out, append([]byte(nil), img...)) // header only
 	for _, r := range recs {
 		var err error
-		img, err = AppendRecord(img, r)
+		img, err = AppendRecord(img, r, nil)
 		if err != nil {
 			tb.Fatalf("AppendRecord: %v", err)
 		}
@@ -46,7 +48,16 @@ func syntheticRecord(version uint64) *EpochRecord {
 }
 
 func FuzzJournalDecode(f *testing.F) {
-	for _, img := range corpusImages(f) {
+	seeds := corpusImages(f)
+	// A dense image of a full record and seven deltas, two deltas behind
+	// valid CRCs that cannot apply to the record before them, and one
+	// whose table delta names a core past the table's count.
+	dense := denseImage(f, 8)
+	seeds = append(seeds, dense, corePastCountImage(f, dense))
+	for _, img := range badDeltaImages(f, dense) {
+		seeds = append(seeds, img)
+	}
+	for _, img := range seeds {
 		f.Add(img)
 		if len(img) > HeaderSize {
 			f.Add(img[:HeaderSize+(len(img)-HeaderSize)/2]) // torn tail
@@ -82,16 +93,32 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 		// Accepted records must re-encode into the exact bytes replayed —
 		// the round-trip the re-commit path and recovery both rely on.
-		reenc := AppendHeader(nil)
-		for i := range rep.Records {
-			var err error
-			reenc, err = AppendRecord(reenc, &rep.Records[i])
-			if err != nil {
-				t.Fatalf("re-encode of accepted record %d failed: %v", i, err)
-			}
-		}
-		if !bytes.Equal(reenc, data[:rep.Good]) {
+		if reenc := reencode(t, rep.Records); !bytes.Equal(reenc, data[:rep.Good]) {
 			t.Fatal("re-encoded records differ from the intact prefix")
 		}
+		// The folded records' tables decode as a chain or are refused.
+		var encs [][]byte
+		for _, rec := range FoldEpochs(rep.Records) {
+			encs = append(encs, rec.TableEncoding())
+		}
+		_, _ = table.DecodeChain(encs, len(encs))
 	})
+}
+
+// reencode writes recs back as an image, each delta against the record
+// before it.
+func reencode(tb testing.TB, recs []EpochRecord) []byte {
+	tb.Helper()
+	img := AppendHeader(nil)
+	for i := range recs {
+		var base *EpochRecord
+		if i > 0 {
+			base = &recs[i-1]
+		}
+		var err error
+		if img, err = AppendRecord(img, &recs[i], base); err != nil {
+			tb.Fatalf("re-encode of record %d: %v", i, err)
+		}
+	}
+	return img
 }

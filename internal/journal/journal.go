@@ -1,22 +1,29 @@
 // Package journal is the durable write-ahead epoch log under the churn
 // control plane. Every committed Flush of a core.Controller appends one
-// checksummed, length-prefixed record carrying the full epoch — the
-// population snapshot (including inactive spares and failed cores), the
-// guarantees, and the table in the compact wire encoding — so a host
-// crash mid-storm loses nothing that was committed: core.Recover
-// replays the journal, truncates a torn or corrupted tail at the last
-// record whose CRC verifies, and rebuilds the controller bit-for-bit on
-// the last committed epoch.
+// checksummed, length-prefixed record of the epoch — the population
+// snapshot (including inactive spares and failed cores), the guarantees,
+// and the table — so a host crash mid-storm loses nothing that was
+// committed: core.Recover replays the journal, truncates a torn or
+// corrupted tail at the last record whose CRC verifies, and rebuilds the
+// controller bit-for-bit on the last committed epoch.
+//
+// A record is full or a delta: what changed since the record before it,
+// its base, which it names. A delta replays only on top of its base, so
+// a run of deltas replays from the full record that starts it.
 //
 // The journal is the commit point: a flush whose record cannot be
 // appended rolls back, so the log and the installed epoch history never
 // disagree. Storage is pluggable through Store — an in-memory store for
 // simulations and crash-point tests, a file-backed store with a
-// configurable fsync policy and atomic-rename truncation for daemons.
-// Because every record is a self-contained epoch snapshot, a suffix of
-// the journal replays on its own: a store that can drop its oldest
-// records (Compactor) lets a controller with a bounded epoch ring keep
-// only the records that rebuild it.
+// configurable fsync policy and atomic-rename truncation for daemons. A
+// suffix of the journal that starts with a full record replays on its
+// own: a store that can drop its oldest records (Compactor) lets a
+// controller with a bounded epoch ring keep only the records that
+// rebuild it.
+//
+// Delta records are a record kind, not a file version, so the file
+// version is still 1; a build that predates them reads a journal as torn
+// at its first delta, and must not be handed one.
 package journal
 
 import (
@@ -33,25 +40,41 @@ import (
 //	header:  magic "TBJL" | u16 version (1)
 //	record:  u32 payloadLen | u32 crc32(payload) | payload
 //
-// Record payload (all little-endian):
+// Record payload (all little-endian), a full record:
 //
 //	u8  kind (1 = epoch)
 //	u64 epoch version
 //	u32 slot count
-//	  per slot: u16 nameLen | name | u8 flags (bit0 capped, bit1 active)
-//	            i64 utilNum | i64 utilDen | i64 latencyGoal
+//	  per slot: u16 nameLen | name | u8 flags (bit0 capped, bit1 active,
+//	            bit2 best effort) | i64 utilNum | i64 utilDen | i64 latencyGoal
 //	u32 failed-core count | u32 core id each
 //	u32 guarantee count
 //	  per guarantee: u32 vcpu | u64 service | u64 window | u64 maxBlackout
 //	u32 tableLen | table bytes (compact TBLU encoding, no slice index)
+//
+// and a delta record:
+//
+//	u8  kind (2 = delta)
+//	u64 epoch version
+//	u64 base version (the record immediately before this one)
+//	u32 slot count
+//	u32 changed-slot count
+//	  per changed slot, in index order: u32 index | slot as above
+//	u32 failed-core count | u32 core id each
+//	u32 guarantee count | guarantees as above
+//	u32 deltaLen | table delta (table.AppendEncodedDelta against the
+//	               base's table)
+//
+// A delta lists a slot exactly when it differs from the base's at the
+// same index or the base has none there: one encoding per record.
 const (
 	fileMagic   = "TBJL"
 	fileVersion = uint16(1)
 
-	// KindEpoch is the only record kind today; the byte exists so a
-	// future kind can share the framing. (Compaction needs none: it keeps
-	// a suffix of self-contained epoch records.)
+	// KindEpoch is a full record: the whole epoch.
 	KindEpoch = byte(1)
+	// KindDelta is a delta record: the epoch as a change to its base.
+	KindDelta = byte(2)
 )
 
 const (
@@ -98,6 +121,9 @@ type SlotConfig struct {
 // EpochRecord is one committed epoch as journaled. Writer.Append
 // serialises a record before it returns and retains none of its slices,
 // so a caller may alias live data into one it appends immediately.
+//
+// A record is a delta exactly when TableDelta is set, and TableBytes is
+// not; Slots is the whole population either way.
 type EpochRecord struct {
 	Version     uint64
 	Slots       []SlotConfig
@@ -107,6 +133,20 @@ type EpochRecord struct {
 	// (no slice index: an installer builds its own). In a record DecodeAll
 	// returned it is a read-only window into the decoded image.
 	TableBytes []byte
+	// Base and TableDelta make the record a delta: TableDelta is the
+	// table's delta encoding against the table of epoch Base, the record
+	// before it (table.AppendEncodedDelta), read-only like TableBytes.
+	Base       uint64
+	TableDelta []byte
+}
+
+// TableEncoding is the record's table as journaled. The encodings of
+// folded records, from a full one on, are a chain (table.DecodeChain).
+func (r *EpochRecord) TableEncoding() []byte {
+	if r.TableDelta != nil {
+		return r.TableDelta
+	}
+	return r.TableBytes
 }
 
 // AppendHeader appends the journal file header to dst.
@@ -115,12 +155,13 @@ func AppendHeader(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint16(dst, fileVersion)
 }
 
-// AppendRecord appends one framed, CRC'd epoch record to dst. The
-// payload is built in place behind a hole for the frame, which is
-// filled in once the payload's length and checksum are known.
-func AppendRecord(dst []byte, r *EpochRecord) ([]byte, error) {
+// AppendRecord appends one framed, CRC'd epoch record to dst; a delta
+// is written against base, the record before it (a full record ignores
+// base). The payload is built in place behind a hole for the frame,
+// which is filled in once the payload's length and checksum are known.
+func AppendRecord(dst []byte, r, base *EpochRecord) ([]byte, error) {
 	hole := len(dst)
-	framed, err := appendPayload(append(dst, make([]byte, frameOverhead)...), r)
+	framed, err := appendPayload(append(dst, make([]byte, frameOverhead)...), r, base)
 	if err != nil {
 		return dst, err
 	}
@@ -130,12 +171,34 @@ func AppendRecord(dst []byte, r *EpochRecord) ([]byte, error) {
 	return framed, nil
 }
 
-func appendPayload(dst []byte, r *EpochRecord) ([]byte, error) {
+func appendPayload(dst []byte, r, base *EpochRecord) ([]byte, error) {
 	le := binary.LittleEndian
-	dst = append(dst, KindEpoch)
-	dst = le.AppendUint64(dst, r.Version)
+	delta, tbl := r.TableDelta != nil, r.TableBytes
+	if !delta {
+		dst = append(dst, KindEpoch)
+		dst = le.AppendUint64(dst, r.Version)
+	} else {
+		if base == nil || base.Version != r.Base {
+			return dst, fmt.Errorf("journal: delta of epoch %d needs the record of epoch %d as its base", r.Version, r.Base)
+		}
+		tbl = r.TableDelta
+		dst = append(dst, KindDelta)
+		dst = le.AppendUint64(dst, r.Version)
+		dst = le.AppendUint64(dst, r.Base)
+	}
 	dst = le.AppendUint32(dst, uint32(len(r.Slots)))
-	for _, s := range r.Slots {
+	countAt, n := len(dst), 0
+	if delta {
+		dst = le.AppendUint32(dst, 0)
+	}
+	for i, s := range r.Slots {
+		if delta {
+			if i < len(base.Slots) && s == base.Slots[i] {
+				continue
+			}
+			dst = le.AppendUint32(dst, uint32(i))
+			n++
+		}
 		if len(s.Name) > 0xffff {
 			return dst, fmt.Errorf("journal: slot name too long (%d bytes)", len(s.Name))
 		}
@@ -156,6 +219,9 @@ func appendPayload(dst []byte, r *EpochRecord) ([]byte, error) {
 		dst = le.AppendUint64(dst, uint64(s.UtilDen))
 		dst = le.AppendUint64(dst, uint64(s.LatencyGoal))
 	}
+	if delta {
+		le.PutUint32(dst[countAt:], uint32(n))
+	}
 	dst = le.AppendUint32(dst, uint32(len(r.FailedCores)))
 	for _, c := range r.FailedCores {
 		dst = le.AppendUint32(dst, uint32(int32(c)))
@@ -167,8 +233,8 @@ func appendPayload(dst []byte, r *EpochRecord) ([]byte, error) {
 		dst = le.AppendUint64(dst, uint64(g.WindowLen))
 		dst = le.AppendUint64(dst, uint64(g.MaxBlackout))
 	}
-	dst = le.AppendUint32(dst, uint32(len(r.TableBytes)))
-	dst = append(dst, r.TableBytes...)
+	dst = le.AppendUint32(dst, uint32(len(tbl)))
+	dst = append(dst, tbl...)
 	return dst, nil
 }
 
@@ -180,9 +246,9 @@ func appendPayload(dst []byte, r *EpochRecord) ([]byte, error) {
 // should cut the store back to — and TailErr describes why the bytes
 // past Good were abandoned (nil when the journal ends cleanly).
 //
-// Records alias the image: each record's TableBytes is a window into
-// the data DecodeAll was given (capacity clipped, so an append cannot
-// run into the next record), not a copy. A Replay is for reading; a
+// Records alias the image: each record's TableBytes or TableDelta is a
+// window into the data DecodeAll was given (capacity clipped, so an
+// append cannot run into the next record), not a copy. A Replay is for reading; a
 // caller that keeps table bytes beyond the image's life, or that goes on
 // writing to the image, copies what it keeps.
 type Replay struct {
@@ -201,7 +267,8 @@ type Replay struct {
 // valid header degrades to a truncated-tail Replay, never an error —
 // crash recovery must make progress from whatever prefix survived.
 // A slot name equal to the previous record's at the same index is that
-// record's string, not a new one.
+// record's string, not a new one. A delta whose base is not the record
+// before it is damage like any other.
 func DecodeAll(data []byte) (*Replay, error) {
 	if len(data) < HeaderSize {
 		return nil, fmt.Errorf("journal: image too short for header (%d bytes)", len(data))
@@ -240,6 +307,8 @@ func DecodeAll(data []byte) (*Replay, error) {
 // reverted-to epoch verbatim, so a record whose version does not exceed
 // the current top is a revert: pop back to below it, then append. The
 // result is strictly increasing in version; the input is not modified.
+// A delta's version exceeds its base's, so a delta that survives sits
+// on its base: the fold is a chain from its first record, a full one.
 func FoldEpochs(recs []EpochRecord) []EpochRecord {
 	folded := make([]EpochRecord, 0, len(recs))
 	for _, rec := range recs {
@@ -354,26 +423,57 @@ func (p *payloadReader) count(what string) int {
 	return int(n)
 }
 
-// decodePayload decodes one record payload. A slot whose name bytes equal
-// those of prev's slot at the same index takes prev's string instead of
-// a new one: slot names almost never change from one epoch to the next,
-// and strings are immutable, so sharing one is safe.
+// decodePayload decodes one record payload; prev is the record decoded
+// before it (nil for the first). A slot whose name bytes equal those of
+// prev's slot at the same index takes prev's string instead of a new
+// one: slot names almost never change from one epoch to the next, and
+// strings are immutable, so sharing one is safe. A delta must name prev
+// as its base and list exactly the slots that differ from prev's.
 func decodePayload(payload []byte, prev *EpochRecord) (EpochRecord, error) {
 	p := &payloadReader{b: payload}
 	var rec EpochRecord
-	if kind := p.u8(); p.err == nil && kind != KindEpoch {
+	kind := p.u8()
+	if p.err == nil && kind != KindEpoch && kind != KindDelta {
 		return rec, fmt.Errorf("unknown record kind %d", kind)
 	}
 	rec.Version = p.u64()
+	if kind == KindDelta {
+		rec.Base = p.u64()
+		if p.err == nil && (prev == nil || rec.Base != prev.Version || rec.Version <= rec.Base) {
+			return rec, fmt.Errorf("delta record of epoch %d on base %d does not follow the record before it", rec.Version, rec.Base)
+		}
+	}
 	nslots := p.count("slot")
+	next, listed := -1, 0 // a delta's next listed slot, and how many are left
+	if kind == KindDelta {
+		listed = p.count("changed-slot")
+	}
 	// Chunked growth: a huge declared count followed by a truncated body
 	// must not allocate up front.
 	rec.Slots = make([]SlotConfig, 0, min(nslots, allocChunk))
 	for i := 0; i < nslots && p.err == nil; i++ {
+		var ps *SlotConfig
+		if prev != nil && i < len(prev.Slots) {
+			ps = &prev.Slots[i]
+		}
+		if kind == KindDelta {
+			if next < i && listed > 0 {
+				if next, listed = int(p.u32()), listed-1; next < i && p.err == nil {
+					return rec, fmt.Errorf("delta record lists slot %d out of order", next)
+				}
+			}
+			if next != i {
+				if ps == nil {
+					return rec, fmt.Errorf("delta record leaves slot %d without a base", i)
+				}
+				rec.Slots = append(rec.Slots, *ps)
+				continue
+			}
+		}
 		var s SlotConfig
 		name := p.take(int(p.u16()))
-		if prev != nil && i < len(prev.Slots) && prev.Slots[i].Name == string(name) {
-			s.Name = prev.Slots[i].Name
+		if ps != nil && ps.Name == string(name) {
+			s.Name = ps.Name
 		} else {
 			s.Name = string(name)
 		}
@@ -387,7 +487,13 @@ func decodePayload(payload []byte, prev *EpochRecord) (EpochRecord, error) {
 		s.UtilNum = int64(p.u64())
 		s.UtilDen = int64(p.u64())
 		s.LatencyGoal = int64(p.u64())
+		if kind == KindDelta && p.err == nil && ps != nil && s == *ps {
+			return rec, fmt.Errorf("delta record lists slot %d unchanged", i)
+		}
 		rec.Slots = append(rec.Slots, s)
+	}
+	if p.err == nil && (next >= nslots || listed > 0) {
+		return rec, fmt.Errorf("delta record lists slots past its %d", nslots)
 	}
 	nfailed := p.count("failed-core")
 	rec.FailedCores = make([]int, 0, min(nfailed, allocChunk))
@@ -408,9 +514,14 @@ func decodePayload(payload []byte, prev *EpochRecord) (EpochRecord, error) {
 	if p.err == nil && int(ntbl) > maxPayload {
 		p.err = fmt.Errorf("implausible table length %d", ntbl)
 	}
-	rec.TableBytes = slices.Clip(p.take(int(ntbl)))
+	tbl := slices.Clip(p.take(int(ntbl)))
 	if p.err != nil {
 		return rec, p.err
+	}
+	if kind == KindDelta {
+		rec.TableDelta = tbl
+	} else {
+		rec.TableBytes = tbl
 	}
 	if p.off != len(payload) {
 		return rec, fmt.Errorf("%d trailing payload bytes", len(payload)-p.off)

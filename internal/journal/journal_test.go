@@ -3,6 +3,10 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -46,7 +50,7 @@ func appendRecords(t *testing.T, recs ...*EpochRecord) []byte {
 	img := AppendHeader(nil)
 	for _, r := range recs {
 		var err error
-		img, err = AppendRecord(img, r)
+		img, err = AppendRecord(img, r, nil)
 		if err != nil {
 			t.Fatalf("AppendRecord: %v", err)
 		}
@@ -139,13 +143,7 @@ func TestDecodeAllSharesUnchangedNames(t *testing.T) {
 			}
 		}
 	}
-	reenc := AppendHeader(nil)
-	for i := range rep.Records {
-		if reenc, err = AppendRecord(reenc, &rep.Records[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(reenc, img) {
+	if !bytes.Equal(reencode(t, rep.Records), img) {
 		t.Fatal("the records decoded with shared names do not re-encode to the image")
 	}
 }
@@ -322,7 +320,7 @@ func mustLoad(t *testing.T, s Store) []byte {
 // TestSlotNameTooLong checks the encode-side bound.
 func TestSlotNameTooLong(t *testing.T) {
 	r := &EpochRecord{Version: 1, Slots: []SlotConfig{{Name: strings.Repeat("x", 0x10000), UtilDen: 1}}}
-	if _, err := AppendRecord(nil, r); err == nil {
+	if _, err := AppendRecord(nil, r, nil); err == nil {
 		t.Fatal("oversized slot name accepted")
 	}
 }
@@ -355,5 +353,252 @@ func TestFoldEpochs(t *testing.T) {
 	// A full revert to the first epoch leaves exactly that epoch.
 	if got := versions(FoldEpochs([]EpochRecord{rec(5), rec(6), rec(7), rec(5)})); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("full revert folded to %v, want [5]", got)
+	}
+}
+
+// denseImage journals n epochs of a dense host — 16 cores, 192 VMs of
+// 1/16, three latency goals changing per step, replanned incrementally —
+// the way a controller writes them: a full record, then deltas.
+func denseImage(tb testing.TB, n int) []byte {
+	tb.Helper()
+	goals := []int64{5_000_000, 10_000_000, 20_000_000}
+	opts := planner.Options{Cores: 16, Slices: planner.NewSliceCache(0)}
+	specs := make([]planner.VCPUSpec, 192)
+	slots := make([]SlotConfig, 192)
+	for i := range specs {
+		specs[i] = planner.VCPUSpec{Name: fmt.Sprintf("vm%d", i), Util: planner.Util{Num: 1, Den: 16}, LatencyGoal: goals[i%3], Capped: true}
+		slots[i] = SlotConfig{Name: specs[i].Name, UtilNum: 1, UtilDen: 16, LatencyGoal: goals[i%3], Capped: true, Active: true}
+	}
+	res, err := planner.Plan(specs, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	img := AppendHeader(nil)
+	var prev *EpochRecord
+	var prevTbl *table.Table
+	for v := uint64(1); v <= uint64(n); v++ {
+		res.Table.Generation = v
+		rec := &EpochRecord{Version: v, Slots: slices.Clone(slots), Guarantees: res.Guarantees}
+		if prev == nil {
+			rec.TableBytes, err = res.Table.AppendEncodedCompact(nil)
+		} else {
+			rec.Base = prev.Version
+			rec.TableDelta, err = res.Table.AppendEncodedDelta(nil, prevTbl)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if img, err = AppendRecord(img, rec, prev); err != nil {
+			tb.Fatal(err)
+		}
+		prev, prevTbl = rec, res.Table
+		last := &planner.PrevPlan{Specs: specs, Opts: opts, Res: res}
+		specs = slices.Clone(specs)
+		for k := 0; k < 3; k++ {
+			i := rng.Intn(len(specs))
+			specs[i].LatencyGoal = goals[rng.Intn(len(goals))]
+			slots[i].LatencyGoal = specs[i].LatencyGoal
+		}
+		if res, err = planner.PlanIncremental(specs, opts, last); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return img
+}
+
+// recordAt returns the framed record that starts image offset off.
+func recordAt(tb testing.TB, img []byte, off int) []byte {
+	tb.Helper()
+	n, err := frameLen(img[off:])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return img[off : off+n]
+}
+
+// reframed is img with the record at off rewritten by edit, its CRC
+// recomputed, so that only the payload's structure can refuse it.
+func reframed(tb testing.TB, img []byte, off int, edit func(payload []byte)) []byte {
+	tb.Helper()
+	out := bytes.Clone(img)
+	rec := recordAt(tb, out, off)
+	edit(rec[frameOverhead:])
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[frameOverhead:], castagnoli))
+	return out
+}
+
+// badDeltaImages are the first two records of a dense image with the
+// second, a delta, damaged behind a valid CRC: naming a base that is not
+// the record before it, and naming a slot past the record's slot count.
+func badDeltaImages(tb testing.TB, dense []byte) map[string][]byte {
+	tb.Helper()
+	second := HeaderSize + len(recordAt(tb, dense, HeaderSize))
+	two := dense[:second+len(recordAt(tb, dense, second))]
+	const baseAt, countAt, firstIndexAt = 1 + 8, 1 + 8 + 8, 1 + 8 + 8 + 4 + 4
+	return map[string][]byte{
+		"a delta whose base is not the record before it": reframed(tb, two, second, func(p []byte) {
+			binary.LittleEndian.PutUint64(p[baseAt:], 99)
+		}),
+		"a delta listing a slot past the slot count": reframed(tb, two, second, func(p []byte) {
+			binary.LittleEndian.PutUint32(p[firstIndexAt:], binary.LittleEndian.Uint32(p[countAt:]))
+		}),
+	}
+}
+
+// corePastCountImage is the first two records of a dense image with the
+// second's table delta rewritten to list one empty core at the table's
+// core count: a record the journal frames as intact — it does not parse
+// tables — and whose table the table decoder must refuse.
+func corePastCountImage(tb testing.TB, dense []byte) []byte {
+	tb.Helper()
+	rep, err := DecodeAll(dense)
+	if err != nil || len(rep.Records) < 2 {
+		tb.Fatalf("the dense image replays %d records (%v), want 2", len(rep.Records), err)
+	}
+	base, rec := &rep.Records[0], rep.Records[1]
+	tbl, err := table.DecodeBytes(base.TableBytes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tbl.Generation = rec.Version
+	// A table's delta against itself lists nothing and ends with its
+	// changed-core count.
+	delta, err := tbl.AppendEncodedDelta(nil, tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	le := binary.LittleEndian
+	le.PutUint32(delta[len(delta)-4:], 1)
+	delta = le.AppendUint32(delta, uint32(tbl.NumCores()))
+	rec.TableDelta = append(delta, make([]byte, 20)...) // core 0, no allocations, no slice index
+	img := AppendHeader(nil)
+	if img, err = AppendRecord(img, base, nil); err != nil {
+		tb.Fatal(err)
+	}
+	if img, err = AppendRecord(img, &rec, base); err != nil {
+		tb.Fatal(err)
+	}
+	return img
+}
+
+// TestDeltaRecordsRoundTrip: a dense image of a full record and deltas
+// replays whole — every record with its whole population, exactly one
+// of TableBytes and TableDelta set, the deltas a fraction of the full
+// record — re-encodes to itself, and decodes its tables as a chain.
+func TestDeltaRecordsRoundTrip(t *testing.T) {
+	img := denseImage(t, 8)
+	rep, err := DecodeAll(img)
+	if err != nil || rep.TailErr != nil || len(rep.Records) != 8 {
+		t.Fatalf("DecodeAll: %v, tail %v, %d records", err, rep.TailErr, len(rep.Records))
+	}
+	var encs [][]byte
+	for i := range rep.Records {
+		rec := &rep.Records[i]
+		if len(rec.Slots) != 192 {
+			t.Fatalf("record %d carries %d slots, want 192", i, len(rec.Slots))
+		}
+		if (rec.TableBytes == nil) == (rec.TableDelta == nil) || (i == 0) != (rec.TableDelta == nil) {
+			t.Fatalf("record %d: table bytes %d, delta %d: want the first full and the rest deltas", i, len(rec.TableBytes), len(rec.TableDelta))
+		}
+		encs = append(encs, rec.TableEncoding())
+	}
+	tables, err := table.DecodeChain(encs, len(encs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tbl := range tables {
+		if tbl.Generation != rep.Records[i].Version {
+			t.Fatalf("record %d decodes to generation %d", i, tbl.Generation)
+		}
+	}
+	full := len(recordAt(t, img, HeaderSize))
+	t.Logf("a full record is %d bytes; the seven deltas average %d", full, (len(img)-HeaderSize-full)/7)
+	if 4*(len(img)-HeaderSize-full)/7 > full {
+		t.Fatalf("deltas average %d bytes against a %d-byte full record", (len(img)-HeaderSize-full)/7, full)
+	}
+	if !bytes.Equal(reencode(t, rep.Records), img) {
+		t.Fatal("the replayed records do not re-encode to the image")
+	}
+}
+
+// TestDecodeAllRefusesBadDeltas: a delta record behind a valid CRC that
+// cannot be applied to the record before it is tail damage: replay keeps
+// the records before it and truncates there.
+func TestDecodeAllRefusesBadDeltas(t *testing.T) {
+	dense := denseImage(t, 2)
+	good := HeaderSize + len(recordAt(t, dense, HeaderSize))
+	for name, img := range badDeltaImages(t, dense) {
+		rep, err := DecodeAll(img)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rep.Records) != 1 || rep.Good != good || rep.TailErr == nil {
+			t.Fatalf("%s: replayed %d records to %d (tail %v), want 1 to %d with the delta cut", name, len(rep.Records), rep.Good, rep.TailErr, good)
+		}
+	}
+	// A delta as the first record has nothing to be a delta of.
+	second := dense[good:]
+	rep, err := DecodeAll(append(AppendHeader(nil), second...))
+	if err != nil || len(rep.Records) != 0 || rep.TailErr == nil {
+		t.Fatalf("a leading delta replayed %d records (tail %v, %v)", len(rep.Records), rep.TailErr, err)
+	}
+	// A table delta naming a core past the table replays intact, and its
+	// chain is refused where the tables are decoded.
+	rep, err = DecodeAll(corePastCountImage(t, dense))
+	if err != nil || len(rep.Records) != 2 || rep.TailErr != nil {
+		t.Fatalf("a delta naming a core past the table replayed %d records (tail %v, %v), want 2", len(rep.Records), rep.TailErr, err)
+	}
+	if _, err := table.DecodeChain([][]byte{rep.Records[0].TableEncoding(), rep.Records[1].TableEncoding()}, 1); err == nil {
+		t.Fatal("a table delta naming a core past the table decoded")
+	}
+}
+
+// TestWriterDeltaNeedsItsBase: a writer appends a delta only against the
+// record it appended last, and after a failed append against none.
+func TestWriterDeltaNeedsItsBase(t *testing.T) {
+	r1, r2 := testRecord(t, 1), testRecord(t, 2)
+	tbl, err := table.DecodeBytes(r1.TableBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := func(r *EpochRecord, base uint64) *EpochRecord {
+		d := *r
+		d.Base, d.TableBytes = base, nil
+		if d.TableDelta, err = tbl.AppendEncodedDelta(nil, tbl); err != nil {
+			t.Fatal(err)
+		}
+		return &d
+	}
+	st := NewMemStore()
+	w := NewWriter(st)
+	if _, ok := w.Last(); ok {
+		t.Fatal("a fresh writer names a last record")
+	}
+	if err := w.Append(delta(r2, 1)); err == nil {
+		t.Fatal("a fresh writer appended a delta")
+	}
+	if err := w.Append(r1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(delta(r2, 7)); err == nil {
+		t.Fatal("a delta against a record the writer did not append last was accepted")
+	}
+	if err := w.Append(delta(r2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := w.Last(); !ok || v != 2 {
+		t.Fatalf("Last = %d, %v after appending epoch 2", v, ok)
+	}
+	rep, err := DecodeAll(mustLoad(t, st))
+	if err != nil || rep.TailErr != nil || len(rep.Records) != 2 || rep.Records[1].Base != 1 {
+		t.Fatalf("the writer's image replays %d records (tail %v, %v)", len(rep.Records), rep.TailErr, err)
+	}
+	st.Close()
+	if err := w.Append(testRecord(t, 3)); err == nil {
+		t.Fatal("append to a closed store accepted")
+	}
+	if _, ok := w.Last(); ok {
+		t.Fatal("a writer names a last record after a failed append")
 	}
 }

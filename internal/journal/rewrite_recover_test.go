@@ -21,7 +21,9 @@ type discard struct{}
 func (discard) PushTable(*table.Table) error { return nil }
 
 // journaledHost commits six epochs (a baseline and five toggles) into a
-// FileStore at path, with no ring, so nothing compacts on its own.
+// FileStore at path under a ring of three: the fourth record is a full
+// checkpoint a compaction can cut at, and six records are not yet enough
+// for the controller to compact on its own.
 func journaledHost(t *testing.T, path string) *journal.FileStore {
 	t.Helper()
 	s := core.NewSystem(2, planner.Options{}, dispatch.Options{})
@@ -38,6 +40,7 @@ func journaledHost(t *testing.T, path string) *journal.FileStore {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctrl.MaxHistory = 3
 	fs, err := journal.OpenFile(path, journal.SyncAlways)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +79,11 @@ func recoverFrom(t *testing.T, store journal.Store) recovered {
 	}
 	out := recovered{Version: rep.RecoveredVersion, Bytes: rep.RecoveredBytes, Slots: rep.Slots}
 	for _, ep := range rc.History() {
-		out.Ring = append(out.Ring, ep.Bytes)
+		enc, err := ep.Encoded()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Ring = append(out.Ring, enc.Bytes)
 	}
 	rc.Submit(core.Op{Kind: core.OpReconfigure, Slot: 0, Util: core.Util{Num: 1, Den: 8}, LatencyGoal: 20_000_000})
 	tr, err := rc.Flush()

@@ -35,10 +35,10 @@ type Store interface {
 // Compactor is the optional Store capability journal compaction uses,
 // the way a table sink may offer AbortStaged: dropping the oldest
 // records while keeping the header and every later record byte for
-// byte. Every record is a self-contained epoch snapshot, so the suffix
-// replays on its own. A controller with a bounded epoch ring compacts a
-// store that has the capability; a store without it keeps every record,
-// as every Store always did.
+// byte. The caller cuts at a full record, so the kept suffix replays on
+// its own. A controller with a bounded epoch ring compacts a store that
+// has the capability; a store without it keeps every record, as every
+// Store always did.
 type Compactor interface {
 	// Compact drops the n oldest records. On failure the store holds the
 	// image it held before (a FileStore: the old image or the new one,
@@ -213,6 +213,11 @@ type Writer struct {
 	store   Store
 	scratch []byte
 	records int64
+	// last is the record this writer appended last (its version and
+	// slots), the one base a delta may name; lastOK is false before the
+	// first append and after a failed one.
+	last   EpochRecord
+	lastOK bool
 }
 
 // NewWriter wraps a store. The store must already hold a valid journal
@@ -221,20 +226,39 @@ func NewWriter(store Store) *Writer {
 	return &Writer{store: store}
 }
 
-// Append journals one epoch record.
+// Append journals one epoch record; a delta's base must be the record
+// this writer appended last (Last).
 func (w *Writer) Append(r *EpochRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	buf, err := AppendRecord(w.scratch[:0], r)
+	var base *EpochRecord
+	if w.lastOK {
+		base = &w.last
+	}
+	buf, err := AppendRecord(w.scratch[:0], r, base)
 	if err != nil {
 		return err
 	}
 	w.scratch = buf[:0]
 	if err := w.store.Append(buf); err != nil {
+		// Whatever of the record reached the store, no delta may follow it.
+		w.lastOK = false
 		return err
 	}
 	w.records++
+	w.last.Version = r.Version
+	w.last.Slots = append(w.last.Slots[:0], r.Slots...)
+	w.lastOK = true
 	return nil
+}
+
+// Last returns the version of the record this writer appended last; ok
+// is false before its first append and after a failed one. A writer
+// opened on a journal that already holds records knows none of them.
+func (w *Writer) Last() (version uint64, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.last.Version, w.lastOK
 }
 
 // CanCompact reports whether the writer's store is a Compactor.

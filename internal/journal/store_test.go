@@ -327,7 +327,7 @@ func TestAppendRecordFramesInPlace(t *testing.T) {
 	prefix := []byte("already here")
 	buf := make([]byte, 0, len(prefix)+len(want))
 	if allocs := testing.AllocsPerRun(100, func() {
-		out, err := AppendRecord(append(buf, prefix...), rec)
+		out, err := AppendRecord(append(buf, prefix...), rec, nil)
 		if err != nil || !bytes.Equal(out[len(prefix):], want) || !bytes.Equal(out[:len(prefix)], prefix) {
 			t.Fatalf("in-place framing produced a different record (%v)", err)
 		}
@@ -336,7 +336,7 @@ func TestAppendRecordFramesInPlace(t *testing.T) {
 	}
 	bad := *rec
 	bad.Slots = append([]SlotConfig{{Name: string(make([]byte, 0x10000))}}, rec.Slots...)
-	if out, err := AppendRecord(append(buf, prefix...), &bad); err == nil || !bytes.Equal(out, prefix) {
+	if out, err := AppendRecord(append(buf, prefix...), &bad, nil); err == nil || !bytes.Equal(out, prefix) {
 		t.Fatalf("failed append returned %d bytes and err %v, want dst unchanged and an error", len(out), err)
 	}
 }

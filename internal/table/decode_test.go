@@ -230,15 +230,47 @@ func sharedCores(a, b *table.Table) int {
 	return n
 }
 
-// TestDecodeSharingEqualsPlain: decoding an epoch chain with sharing
-// gives exactly the tables plain decoding gives, while unchanged cores
-// share their memory with the epoch before; and nothing is shared that
-// the bytes do not prove equal.
+// chainOf decodes encs as one chain and returns every table of it.
+func chainOf(t *testing.T, encs ...[]byte) []*table.Table {
+	t.Helper()
+	ts, err := table.DecodeChain(encs, len(encs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// encode is tbl's compact encoding.
+func encode(t *testing.T, tbl *table.Table) []byte {
+	t.Helper()
+	enc, err := tbl.AppendEncodedCompact(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// withVCPUs is tbl cut to its first n vCPUs: their allocations stay,
+// the others' go.
+func withVCPUs(tbl *table.Table, n int) *table.Table {
+	out := *tbl
+	out.VCPUs = tbl.VCPUs[:n]
+	out.Cores = slices.Clone(tbl.Cores)
+	for ci := range out.Cores {
+		out.Cores[ci].Allocs = slices.DeleteFunc(slices.Clone(tbl.Cores[ci].Allocs), func(a table.Alloc) bool { return a.VCPU >= n })
+	}
+	return &out
+}
+
+// TestDecodeSharingEqualsPlain: decoding an epoch chain of full
+// encodings gives exactly the tables plain decoding gives, while
+// unchanged cores share their memory with the epoch before; and nothing
+// is shared that the bytes do not prove equal.
 func TestDecodeSharingEqualsPlain(t *testing.T) {
 	const epochs = 60
 	encs := denseChain(t, epochs)
+	chained := chainOf(t, encs...)
 
-	var prev *table.Table
 	unchanged, adopted, cores := 0, 0, 0
 	rng := rand.New(rand.NewSource(3))
 	for i, enc := range encs {
@@ -246,16 +278,9 @@ func TestDecodeSharingEqualsPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: %v", i, err)
 		}
-		var prevEnc []byte
-		if i > 0 {
-			prevEnc = encs[i-1]
-		}
-		shared, err := table.DecodeBytesSharing(enc, prev, prevEnc)
-		if err != nil {
-			t.Fatalf("epoch %d with sharing: %v", i, err)
-		}
+		shared := chained[i]
 		if !reflect.DeepEqual(shared, plain) {
-			t.Fatalf("epoch %d: the sharing decode differs from the plain one", i)
+			t.Fatalf("epoch %d: the chain's decode differs from the plain one", i)
 		}
 		if sharedCores(shared, plain) != 0 {
 			t.Fatalf("epoch %d: a plain decode shares memory with another table", i)
@@ -268,11 +293,12 @@ func TestDecodeSharingEqualsPlain(t *testing.T) {
 				t.Fatalf("epoch %d: Lookup(%d, %d) = (%d,%v,%d) shared, (%d,%v,%d) plain", i, core, now, v1, r1, u1, v2, r2, u2)
 			}
 		}
-		if prev != nil {
+		if i > 0 {
 			// A core is adopted exactly when its allocation list (and id)
-			// did not change: that is when its compact segment is the same.
+			// did not change.
+			prev := chained[i-1]
 			for ci := range shared.Cores {
-				same := reflect.DeepEqual(plain.Cores[ci].Allocs, prev.Cores[ci].Allocs) && plain.Len == prev.Len
+				same := reflect.DeepEqual(plain.Cores[ci], prev.Cores[ci]) && plain.Len == prev.Len
 				if same {
 					unchanged++
 				}
@@ -283,7 +309,6 @@ func TestDecodeSharingEqualsPlain(t *testing.T) {
 			adopted += sharedCores(shared, prev)
 			cores += len(shared.Cores)
 		}
-		prev = shared
 	}
 	if unchanged == 0 || adopted != unchanged {
 		t.Fatalf("adopted %d of %d unchanged cores (%d in all)", adopted, unchanged, cores)
@@ -291,16 +316,10 @@ func TestDecodeSharingEqualsPlain(t *testing.T) {
 	t.Logf("adopted %d of %d cores over %d epochs (%.0f%%)", adopted, cores, epochs, 100*float64(adopted)/float64(cores))
 
 	// From here on: one pair of consecutive epochs, perturbed.
-	last, lastEnc := prev, encs[epochs-1]
-	older, err := table.DecodeBytes(encs[epochs-2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := table.DecodeBytesSharing(lastEnc, older, encs[epochs-2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharedCores(base, older) == 0 {
+	last, lastEnc, olderEnc := chained[epochs-1], encs[epochs-1], encs[epochs-2]
+	pair := chainOf(t, olderEnc, lastEnc)
+	older := pair[0]
+	if sharedCores(pair[1], older) == 0 {
 		t.Fatal("the last two epochs share no core; the perturbation cases below would prove nothing")
 	}
 
@@ -309,7 +328,7 @@ func TestDecodeSharingEqualsPlain(t *testing.T) {
 		// of its Start field): exactly that core's segment now differs,
 		// so exactly that core is parsed.
 		ci := 0
-		for !sharesCore(&base.Cores[ci], &older.Cores[ci]) {
+		for !sharesCore(&pair[1].Cores[ci], &older.Cores[ci]) {
 			ci++
 		}
 		off := len(lastEnc)
@@ -318,72 +337,84 @@ func TestDecodeSharingEqualsPlain(t *testing.T) {
 		}
 		mut := bytes.Clone(lastEnc)
 		mut[off+16]++ // past the core id, the slice length and the count
-		got, err := table.DecodeBytesSharing(mut, older, encs[epochs-2])
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := chainOf(t, olderEnc, mut)
 		want, err := table.DecodeBytes(mut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("the sharing decode of the mutated image differs from the plain one")
+		if !reflect.DeepEqual(got[1], want) {
+			t.Fatal("the chain's decode of the mutated image differs from the plain one")
 		}
-		if sharesCore(&got.Cores[ci], &older.Cores[ci]) {
+		if sharesCore(&got[1].Cores[ci], &got[0].Cores[ci]) {
 			t.Fatalf("core %d is shared although a byte of its segment changed", ci)
 		}
-		if n, m := sharedCores(got, older), sharedCores(base, older); n != m-1 {
+		if n, m := sharedCores(got[1], got[0]), sharedCores(pair[1], older); n != m-1 {
 			t.Fatalf("%d cores shared after the change, want %d (one fewer)", n, m-1)
 		}
 	})
 
-	nothing := func(name string, prev *table.Table, prevEnc []byte) {
+	nothing := func(name string, prevEnc []byte) {
 		t.Run(name, func(t *testing.T) {
-			got, err := table.DecodeBytesSharing(lastEnc, prev, prevEnc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, last) {
+			ts := chainOf(t, prevEnc, lastEnc)
+			if !reflect.DeepEqual(ts[1], last) {
 				t.Fatal("the decode differs from the plain one")
 			}
-			if n := sharedCores(got, prev); n != 0 {
+			if n := sharedCores(ts[1], ts[0]); n != 0 {
 				t.Fatalf("%d cores shared", n)
 			}
 		})
 	}
 	otherLen := *older
 	otherLen.Len *= 2
-	nothing("another table length", &otherLen, encs[epochs-2])
+	nothing("another table length", encode(t, &otherLen))
+	// One core fewer: the vCPUs homed on it lose their home.
 	fewer := *older
 	fewer.Cores = older.Cores[:len(older.Cores)-1]
-	nothing("another core count", &fewer, encs[epochs-2])
-	nothing("a non-compact previous encoding", older, table.AppendLegacy(nil, older))
-	nothing("no previous bytes", older, nil)
+	fewer.VCPUs = slices.Clone(older.VCPUs)
+	for i := range fewer.VCPUs {
+		if fewer.VCPUs[i].HomeCore >= len(fewer.Cores) {
+			fewer.VCPUs[i].HomeCore = -1
+		}
+	}
+	nothing("another core count", encode(t, &fewer))
+	nothing("a non-compact previous encoding", table.AppendLegacy(nil, older))
+	// Cores are compared at their own index, never matched up elsewhere.
+	rotated := *older
+	rotated.Cores = append(slices.Clone(older.Cores[1:]), older.Cores[0])
+	nothing("the same cores in another order", encode(t, &rotated))
+	t.Run("no previous bytes", func(t *testing.T) {
+		ts := chainOf(t, lastEnc)
+		if !reflect.DeepEqual(ts[0], last) || sharedCores(ts[0], last) != 0 {
+			t.Fatal("a chain of one encoding is not its plain decode")
+		}
+	})
 }
 
 // TestDecodeSharingSharesUnchangedNames: a vCPU whose name bytes equal
-// those of prev's vCPU at the same index takes prev's string, whether or
-// not any core is shared; a renamed vCPU, and one prev does not have,
-// get strings of their own; and the table is DecodeBytes's either way.
+// those of the previous table's vCPU at the same index takes that
+// string, whether or not any core is shared; a renamed vCPU, and one the
+// previous table does not have, get strings of their own; and the table
+// is DecodeBytes's either way.
 func TestDecodeSharingSharesUnchangedNames(t *testing.T) {
 	encs := denseChain(t, 2)
-	prev, err := table.DecodeBytes(encs[0])
+	first, err := table.DecodeBytes(encs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
-	check := func(name string, enc []byte, prev *table.Table, prevEnc []byte) {
+	check := func(name string, enc, prevEnc []byte, coresShared bool) {
 		t.Run(name, func(t *testing.T) {
-			got, err := table.DecodeBytesSharing(enc, prev, prevEnc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ts := chainOf(t, prevEnc, enc)
+			prev, got := ts[0], ts[1]
 			want, err := table.DecodeBytes(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatal("the sharing decode differs from the plain one")
+				t.Fatal("the chain's decode differs from the plain one")
+			}
+			if n := sharedCores(got, prev); (n > 0) != coresShared {
+				t.Fatalf("%d cores shared", n)
 			}
 			sharedNames := 0
 			for i, v := range got.VCPUs {
@@ -401,8 +432,10 @@ func TestDecodeSharingSharesUnchangedNames(t *testing.T) {
 			}
 		})
 	}
-	check("the next epoch", encs[1], prev, encs[0])
-	check("another table length, no cores shared", encs[1], &table.Table{Len: prev.Len * 2, VCPUs: prev.VCPUs}, nil)
+	check("the next epoch", encs[1], encs[0], true)
+	otherLen := *first
+	otherLen.Len *= 2
+	check("another table length, no cores shared", encs[1], encode(t, &otherLen), false)
 
 	renamed, err := table.DecodeBytes(encs[1])
 	if err != nil {
@@ -410,14 +443,9 @@ func TestDecodeSharingSharesUnchangedNames(t *testing.T) {
 	}
 	renamed.VCPUs = slices.Clone(renamed.VCPUs)
 	renamed.VCPUs[5].Name = "renamed"
-	enc, err := renamed.AppendEncodedCompact(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("one vCPU renamed", enc, prev, encs[0])
-	fewer := *prev
-	fewer.VCPUs = prev.VCPUs[:len(prev.VCPUs)/2]
-	check("prev has fewer vCPUs", enc, &fewer, nil)
+	enc := encode(t, renamed)
+	check("one vCPU renamed", enc, encs[0], true)
+	check("prev has fewer vCPUs", enc, encode(t, withVCPUs(first, len(first.VCPUs)/2)), false)
 }
 
 // TestDecodeLegacyGolden: an image written by the encoder that still put
@@ -471,4 +499,150 @@ func TestDecodeLegacyGolden(t *testing.T) {
 func lastCoreSlices(t *table.Table) int {
 	last := &table.Table{Len: t.Len, Cores: t.Cores[len(t.Cores)-1:]}
 	return last.SliceCount()
+}
+
+// TestDecodeDeltaEqualsFull: along a dense epoch chain written as a
+// full encoding and then each epoch's delta against the one before, the
+// chain decodes to exactly the tables their full encodings decode to.
+// What a delta does not list is the previous table's own memory —
+// unchanged cores and the names of unchanged vCPUs — and the delta
+// carries only what changed. Decoding only the chain's last table
+// builds none before it and gives the same table.
+func TestDecodeDeltaEqualsFull(t *testing.T) {
+	const epochs = 30
+	encs := denseChain(t, epochs)
+	plain := make([]*table.Table, epochs)
+	chain := [][]byte{encs[0]}
+	full, deltas := 0, 0
+	for i, enc := range encs {
+		var err error
+		if plain[i], err = table.DecodeBytes(enc); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			continue
+		}
+		delta, err := plain[i].AppendEncodedDelta(nil, plain[i-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := table.DecodeBytes(delta); err == nil {
+			t.Fatal("a delta decoded as a full encoding")
+		}
+		chain = append(chain, delta)
+		full += len(enc)
+		deltas += len(delta)
+	}
+	got := chainOf(t, chain...)
+	changed := 0
+	for i := range got {
+		if !reflect.DeepEqual(got[i], plain[i]) {
+			t.Fatalf("epoch %d: the delta chain decodes to another table than the full encoding", i)
+		}
+		if i == 0 {
+			continue
+		}
+		for ci := range got[i].Cores {
+			same := reflect.DeepEqual(plain[i].Cores[ci], plain[i-1].Cores[ci])
+			if !same {
+				changed++
+			}
+			if shared := sharesCore(&got[i].Cores[ci], &got[i-1].Cores[ci]); shared != same {
+				t.Fatalf("epoch %d core %d: unchanged = %v, shared with the epoch before = %v", i, ci, same, shared)
+			}
+		}
+		for vi, v := range got[i].VCPUs {
+			if p := got[i-1].VCPUs[vi].Name; v.Name == p && unsafe.StringData(v.Name) != unsafe.StringData(p) {
+				t.Fatalf("epoch %d: vCPU %d's unchanged name is a new string", i, vi)
+			}
+		}
+	}
+	last, err := table.DecodeChain(chain, 1)
+	if err != nil || len(last) != 1 || !reflect.DeepEqual(last[0], plain[epochs-1]) {
+		t.Fatalf("the chain's last table alone: %v", err)
+	}
+	t.Logf("%d epochs: deltas are %d bytes against %d full (%.1f%%), %.1f of 16 cores changed per epoch",
+		epochs-1, deltas, full, 100*float64(deltas)/float64(full), float64(changed)/(epochs-1))
+	if changed == 0 || 4*deltas > full {
+		t.Fatalf("deltas of %d bytes for %d full ones with %d changed cores: the chain does not exercise the delta", deltas, full, changed)
+	}
+}
+
+// TestDecodeDeltaRejectsMalformed: a delta is refused when it is cut
+// short or overlong, lists out of order or past the table, leaves an
+// index the table before lacks unlisted, or decodes to an invalid table;
+// and a chain may not start with one.
+func TestDecodeDeltaRejectsMalformed(t *testing.T) {
+	baseEnc := corpusTables(t)[1] // 2 cores, 8 vCPUs
+	base, err := table.DecodeBytes(baseEnc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Move each core's first allocation 1 ns later, and rename vCPU 3.
+	next := *base
+	next.Generation++
+	next.VCPUs = slices.Clone(base.VCPUs)
+	next.VCPUs[3].Name = "renamed"
+	next.Cores = slices.Clone(base.Cores)
+	for ci := range next.Cores {
+		next.Cores[ci].Allocs = slices.Clone(base.Cores[ci].Allocs)
+		next.Cores[ci].Allocs[0].Start++
+	}
+	delta, err := next.AppendEncodedDelta(nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := chainOf(t, baseEnc, delta); !reflect.DeepEqual(got[1], &next) {
+		t.Fatal("the well-formed delta decodes to another table")
+	}
+	// Layout: 30-byte header; the vCPU list (count, then index 3 and its
+	// record); the core list (count, then index 0 and its segment, index 1
+	// and its segment).
+	vcpuList := 30
+	coreList := vcpuList + 4 + 4 + 2 + len("renamed") + 1 + 4 + 8 + 8
+	core0 := coreList + 4
+	core1 := core0 + 4 + 20 + 20*len(next.Cores[0].Allocs)
+	if n := binary.LittleEndian.Uint32(delta[core1:]); n != 1 {
+		t.Fatalf("layout: core 1's index reads %d", n)
+	}
+	refused := func(name string, chain ...[]byte) {
+		t.Helper()
+		if _, err := table.DecodeChain(chain, 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for n := 0; n < len(delta); n++ {
+		refused(fmt.Sprintf("cut to %d bytes", n), baseEnc, delta[:n])
+	}
+	refused("a trailing byte", baseEnc, append(bytes.Clone(delta), 0))
+	refused("a chain that starts with a delta", delta)
+	put := func(at int, v uint32) []byte {
+		b := bytes.Clone(delta)
+		binary.LittleEndian.PutUint32(b[at:], v)
+		return b
+	}
+	refused("a core index past the table", baseEnc, put(core1, 2))
+	refused("a vCPU index past the table", baseEnc, put(vcpuList+4, 8))
+	refused("core indices out of order", baseEnc, put(core1, 0))
+	refused("more cores listed than the table has", baseEnc, put(coreList, 3))
+	// One core fewer before the delta: the delta must list core 1.
+	fewer := *base
+	fewer.Cores = base.Cores[:1]
+	fewer.VCPUs = slices.Clone(base.VCPUs)
+	for i := range fewer.VCPUs {
+		if fewer.VCPUs[i].HomeCore >= 1 {
+			fewer.VCPUs[i].HomeCore = -1
+		}
+	}
+	if _, err := table.DecodeChain([][]byte{encode(t, &fewer), delta}, 1); err != nil {
+		t.Errorf("a table one core short, the delta listing that core: %v", err)
+	}
+	refused("a table one core short, the delta not listing it", encode(t, &fewer), put(coreList, 1)[:core1])
+	refused("a table one vCPU short, the delta not listing it", encode(t, withVCPUs(base, 7)), delta)
+	// A delta listing nothing under a header whose length fits no core.
+	empty, err := (&table.Table{Len: 1, Generation: 9, Cores: base.Cores, VCPUs: base.VCPUs}).AppendEncodedDelta(nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("an invalid result", baseEnc, empty)
 }

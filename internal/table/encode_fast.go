@@ -13,6 +13,7 @@ import (
 // dispatcher needs nothing else to start enacting the schedule.
 const (
 	formatMagic   = "TBLU"
+	deltaMagic    = "TBLD" // AppendEncodedDelta's header
 	formatVersion = uint16(1)
 )
 
@@ -80,32 +81,41 @@ func (t *Table) encodeHeader(buf []byte) int {
 }
 
 func (t *Table) encodeVCPUs(buf []byte) (int, error) {
-	le := binary.LittleEndian
 	o := 0
-	for _, v := range t.VCPUs {
-		if len(v.Name) > MaxNameLen {
-			return o, fmt.Errorf("table: vcpu name too long (%d bytes)", len(v.Name))
+	for i := range t.VCPUs {
+		n, err := encodeVCPU(buf[o:], &t.VCPUs[i])
+		if err != nil {
+			return o, err
 		}
-		le.PutUint16(buf[o:], uint16(len(v.Name)))
-		o += 2
-		o += copy(buf[o:], v.Name)
-		var fl byte
-		if v.Capped {
-			fl |= flagCapped
-		}
-		if v.Split {
-			fl |= flagSplit
-		}
-		buf[o] = fl
-		o++
-		le.PutUint32(buf[o:], uint32(v.HomeCore))
-		o += 4
-		le.PutUint64(buf[o:], uint64(v.UtilizationPPM))
-		o += 8
-		le.PutUint64(buf[o:], uint64(v.LatencyGoal))
-		o += 8
+		o += n
 	}
 	return o, nil
+}
+
+// encodeVCPU writes one vCPU record, vcpuFixedSize+len(v.Name) bytes.
+func encodeVCPU(buf []byte, v *VCPUInfo) (int, error) {
+	le := binary.LittleEndian
+	if len(v.Name) > MaxNameLen {
+		return 0, fmt.Errorf("table: vcpu name too long (%d bytes)", len(v.Name))
+	}
+	le.PutUint16(buf, uint16(len(v.Name)))
+	o := 2
+	o += copy(buf[o:], v.Name)
+	var fl byte
+	if v.Capped {
+		fl |= flagCapped
+	}
+	if v.Split {
+		fl |= flagSplit
+	}
+	buf[o] = fl
+	o++
+	le.PutUint32(buf[o:], uint32(v.HomeCore))
+	o += 4
+	le.PutUint64(buf[o:], uint64(v.UtilizationPPM))
+	o += 8
+	le.PutUint64(buf[o:], uint64(v.LatencyGoal))
+	return o + 8, nil
 }
 
 func encodeCore(buf []byte, ct *CoreTable) int {
@@ -184,7 +194,7 @@ func (t *Table) appendEncodedReusing(dst []byte, prev *Table, prevBytes []byte) 
 		if prev != nil {
 			pc := &prev.Cores[ci]
 			seg := coreEncodedSizeCompact(pc)
-			if ct.Core == pc.Core && (sameBacking(ct.Allocs, pc.Allocs) || slices.Equal(ct.Allocs, pc.Allocs)) {
+			if sameCore(ct, pc) {
 				o += copy(buf[o:], prevBytes[prevOff:prevOff+seg])
 				prevOff += seg
 				continue
@@ -197,6 +207,62 @@ func (t *Table) appendEncodedReusing(dst []byte, prev *Table, prevBytes []byte) 
 		return dst, fmt.Errorf("table: encoded %d bytes, expected %d", o, need)
 	}
 	return dst[:len(dst)+need], nil
+}
+
+// AppendEncodedDelta appends t's delta encoding against base, which
+// DecodeChain decodes on top of base's encoding. It is the full
+// encoding's header under its own magic, then two lists, each a u32
+// count of (u32 index, record) pairs in index order: the vCPU records
+// that differ from base's at the same index, then the compact segments
+// of the cores that do. An index base lacks is always listed.
+func (t *Table) AppendEncodedDelta(dst []byte, base *Table) ([]byte, error) {
+	vchanged := func(i int) bool { return i >= len(base.VCPUs) || t.VCPUs[i] != base.VCPUs[i] }
+	cchanged := func(i int) bool { return i >= len(base.Cores) || !sameCore(&t.Cores[i], &base.Cores[i]) }
+	need, nv, nc := headerEncodedSize()+8, 0, 0
+	for i := range t.VCPUs {
+		if vchanged(i) {
+			need, nv = need+4+vcpuFixedSize+len(t.VCPUs[i].Name), nv+1
+		}
+	}
+	for i := range t.Cores {
+		if cchanged(i) {
+			need, nc = need+4+coreEncodedSizeCompact(&t.Cores[i]), nc+1
+		}
+	}
+	le := binary.LittleEndian
+	// Grown as append grows it: a caller reuses one buffer for deltas of
+	// varying size.
+	dst = slices.Grow(dst, need)
+	buf := dst[len(dst) : len(dst)+need]
+	o := t.encodeHeader(buf)
+	copy(buf, deltaMagic)
+	le.PutUint32(buf[o:], uint32(nv))
+	o += 4
+	for i := range t.VCPUs {
+		if vchanged(i) {
+			le.PutUint32(buf[o:], uint32(i))
+			n, err := encodeVCPU(buf[o+4:], &t.VCPUs[i])
+			if err != nil {
+				return dst, err
+			}
+			o += 4 + n
+		}
+	}
+	le.PutUint32(buf[o:], uint32(nc))
+	o += 4
+	for i := range t.Cores {
+		if cchanged(i) {
+			le.PutUint32(buf[o:], uint32(i))
+			o += 4 + encodeCore(buf[o+4:], &t.Cores[i])
+		}
+	}
+	return dst[:len(dst)+need], nil
+}
+
+// sameCore reports whether a and b schedule alike: the same core id and
+// the same allocation list.
+func sameCore(a, b *CoreTable) bool {
+	return a.Core == b.Core && (sameBacking(a.Allocs, b.Allocs) || slices.Equal(a.Allocs, b.Allocs))
 }
 
 // sameBacking reports whether a and b are one list: the same length over

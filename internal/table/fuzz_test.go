@@ -71,13 +71,27 @@ func corpusTables(tb testing.TB) [][]byte {
 
 func FuzzTableDecode(f *testing.F) {
 	corpus := corpusTables(f)
-	// The previous epoch a sharing decode may adopt cores and names from.
+	// The epoch before each input in a chain, whose cores and names a
+	// full input may share and a delta input is decoded on top of.
 	prevEnc := corpus[1]
 	prev, err := table.DecodeBytes(prevEnc)
 	if err != nil {
 		f.Fatal(err)
 	}
+	seeds := corpus
+	// The delta encodings of the corpus against prev seed the delta path.
 	for _, enc := range corpus {
+		tbl, err := table.DecodeBytes(enc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		delta, err := tbl.AppendEncodedDelta(nil, prev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, delta)
+	}
+	for _, enc := range seeds {
 		f.Add(enc)
 		// Truncations and bit flips of canonical encodings steer the
 		// fuzzer into every section of the format.
@@ -97,20 +111,36 @@ func FuzzTableDecode(f *testing.F) {
 		if (err == nil) != (rerr == nil) {
 			t.Fatalf("DecodeBytes err = %v, reference err = %v", err, rerr)
 		}
-		// Sharing with a previous epoch changes memory, never the verdict
-		// or the table.
-		shared, serr := table.DecodeBytesSharing(data, prev, prevEnc)
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("DecodeBytes err = %v, DecodeBytesSharing err = %v", err, serr)
+		chained, cerr := table.DecodeChain([][]byte{prevEnc, data}, 1)
+		if !bytes.HasPrefix(data, []byte("TBLD")) {
+			// A full encoding decodes after prev as it does alone: sharing
+			// changes memory, never the verdict or the table.
+			if (err == nil) != (cerr == nil) {
+				t.Fatalf("DecodeBytes err = %v, DecodeChain err = %v", err, cerr)
+			}
+			if err == nil && !reflect.DeepEqual(chained[0], tbl) {
+				t.Fatal("DecodeChain and DecodeBytes disagree on an accepted table")
+			}
+		} else if cerr == nil {
+			// A delta is as untrusted as a full encoding: an accepted one is
+			// a valid table whose own delta against prev decodes back to it.
+			dt := chained[0]
+			if err := dt.Validate(); err != nil {
+				t.Fatalf("DecodeChain accepted an invalid delta: %v", err)
+			}
+			re, err := dt.AppendEncodedDelta(nil, prev)
+			if err != nil {
+				t.Fatalf("re-encode of an accepted delta failed: %v", err)
+			}
+			if back, err := table.DecodeChain([][]byte{prevEnc, re}, 1); err != nil || !reflect.DeepEqual(back[0], dt) {
+				t.Fatalf("an accepted delta does not round-trip: %v", err)
+			}
 		}
 		if err != nil {
 			return // rejected, fine — just must not panic
 		}
 		if !reflect.DeepEqual(tbl, ref) {
 			t.Fatal("DecodeBytes and the reference decoder disagree on an accepted table")
-		}
-		if !reflect.DeepEqual(shared, tbl) {
-			t.Fatal("DecodeBytesSharing and DecodeBytes disagree on an accepted table")
 		}
 		// An accepted table must uphold every dispatcher-facing
 		// invariant, not merely have parsed.

@@ -58,11 +58,19 @@ func coreSlices(as []Alloc, tlen int64) (sliceLen, n int64) {
 // long table blowing up the installer's memory. It is arithmetic and
 // allocates nothing.
 func (t *Table) CheckSliceBound(maxSlices int) error {
+	return t.checkSliceBound(maxSlices, nil)
+}
+
+// checkSliceBound is CheckSliceBound over the cores skip does not mark.
+func (t *Table) checkSliceBound(maxSlices int, skip []bool) error {
 	if maxSlices <= 0 {
 		maxSlices = defaultMaxSlices
 	}
 	for i := range t.Cores {
 		ct := &t.Cores[i]
+		if skip != nil && skip[i] {
+			continue
+		}
 		if shortest, n := coreSlices(ct.Allocs, t.Len); n > int64(maxSlices) {
 			return fmt.Errorf("table: core %d would need %d slices (> %d); shortest allocation %d ns too small for table length %d",
 				ct.Core, n, maxSlices, shortest, t.Len)

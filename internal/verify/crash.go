@@ -311,9 +311,9 @@ func CheckRecovery(a *CrashArtifacts) []Violation {
 		bad(-1, "shadow history misaligned: entry %d has version %d", sc.WantVersion-1, truth.Version)
 		return out
 	}
-	if !bytes.Equal(rep.RecoveredBytes, truth.Bytes) {
+	if tb := epochBytes(truth); !bytes.Equal(rep.RecoveredBytes, tb) {
 		bad(-1, "recovered epoch %d bytes differ from shadow (%d vs %d bytes)",
-			sc.WantVersion, len(rep.RecoveredBytes), len(truth.Bytes))
+			sc.WantVersion, len(rep.RecoveredBytes), len(tb))
 	}
 
 	// Tail truth and the emergency replan.
@@ -345,7 +345,7 @@ func CheckRecovery(a *CrashArtifacts) []Violation {
 			break
 		}
 		tep := a.Truth[ep.Version-1]
-		if !bytes.Equal(ep.Bytes, tep.Bytes) {
+		if b := epochBytes(*ep); b == nil || !bytes.Equal(b, epochBytes(tep)) {
 			bad(-1, "replayed epoch %d bytes differ from shadow", ep.Version)
 		}
 		if !guaranteesEqual(ep.Guarantees, tep.Guarantees) {
@@ -403,6 +403,18 @@ func CheckRecovery(a *CrashArtifacts) []Violation {
 		}
 	}
 	return out
+}
+
+// epochBytes is ep's table encoding: the bytes it carries or, for an
+// epoch that carries none (every superseded epoch does), an encode of
+// its table. Epochs compare by content. Nil only when the table cannot
+// be encoded.
+func epochBytes(ep core.Epoch) []byte {
+	ep, err := ep.Encoded()
+	if err != nil {
+		return nil
+	}
+	return ep.Bytes
 }
 
 func guaranteesEqual(a, b []table.Guarantee) bool {

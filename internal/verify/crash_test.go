@@ -115,7 +115,7 @@ func TestRunCrashDeterministic(t *testing.T) {
 		t.Fatalf("history lengths differ: %d vs %d", len(a.History), len(b.History))
 	}
 	for i := range a.History {
-		if a.History[i].Version != b.History[i].Version || !bytes.Equal(a.History[i].Bytes, b.History[i].Bytes) {
+		if a.History[i].Version != b.History[i].Version || !bytes.Equal(epochBytes(a.History[i]), epochBytes(b.History[i])) {
 			t.Fatalf("history entry %d differs between runs", i)
 		}
 	}

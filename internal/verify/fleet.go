@@ -9,6 +9,7 @@ import (
 	"tableau/internal/core"
 	"tableau/internal/fleet"
 	"tableau/internal/journal"
+	"tableau/internal/table"
 )
 
 // ClassFleet marks cross-host continuity findings: every admitted VM
@@ -294,7 +295,8 @@ func checkFleet(rs []fleet.Retained, asg map[string]int) []Violation {
 
 // expectEpoch is one epoch the history must hold: its version, the
 // slots that must hold guarantees, and — for epochs adopted from a
-// crash seam's journal image — the exact table bytes.
+// crash seam's journal image — the encoding of the table the image
+// decodes to.
 type expectEpoch struct {
 	version uint64
 	active  map[int]bool
@@ -441,8 +443,18 @@ func checkHostContinuity(host int, r *fleet.Retained, v func(string, ...any)) {
 				v("host %d recover seam resolves %d departures for %d freed slots", host, len(c.Departed), len(freed))
 			}
 			// The recovered epochs are the folded image verbatim — the
-			// bit-identical guarantee — plus the rejoin epoch.
+			// bit-identical guarantee — plus the rejoin epoch. The folded
+			// records' tables decode as one chain.
 			jact[0] = true
+			encs := make([][]byte, len(pendingFolded))
+			for i := range pendingFolded {
+				encs[i] = pendingFolded[i].TableEncoding()
+			}
+			tables, err := table.DecodeChain(encs, len(encs))
+			if err != nil {
+				v("host %d crash image tables do not decode: %v", host, err)
+				return
+			}
 			next := make([]expectEpoch, 0, len(pendingFolded)+1)
 			for i := range pendingFolded {
 				rec := &pendingFolded[i]
@@ -452,7 +464,7 @@ func checkHostContinuity(host int, r *fleet.Retained, v func(string, ...any)) {
 						ra[s] = true
 					}
 				}
-				next = append(next, expectEpoch{version: rec.Version, active: ra, bytes: rec.TableBytes})
+				next = append(next, expectEpoch{version: rec.Version, active: ra, bytes: epochBytes(core.Epoch{Table: tables[i]})})
 			}
 			expect = next
 			active = jact
@@ -494,7 +506,7 @@ func checkHostContinuity(host int, r *fleet.Retained, v func(string, ...any)) {
 			v("host %d epoch %d has version %d, replay expects %d", host, i, ep.Version, want.version)
 			continue
 		}
-		if want.bytes != nil && !bytes.Equal(ep.Bytes, want.bytes) {
+		if want.bytes != nil && !bytes.Equal(epochBytes(ep), want.bytes) {
 			v("host %d epoch %d (version %d) is not bit-identical to the journal replay", host, i, ep.Version)
 		}
 		held := make(map[int]bool, len(ep.Guarantees))

@@ -132,7 +132,7 @@ func TestCheckFleetConvictsCorruptBase(t *testing.T) {
 // suffix of the acked stream (plus at most one unacked record), so a
 // compaction that dropped the newest record or kept a non-suffix must
 // be convicted, while a shorter suffix — what any correct compaction
-// leaves — is not.
+// leaves, starting at a full record — is not.
 func TestCheckFleetConvictsBadCompaction(t *testing.T) {
 	a := churnedFleet(t, true)
 	r := a.Hosts()[0].Retained()
@@ -144,14 +144,27 @@ func TestCheckFleetConvictsBadCompaction(t *testing.T) {
 	if err != nil || len(rep.Records) < 3 {
 		t.Fatalf("crash image holds %d records (%v), want at least 3", len(rep.Records), err)
 	}
-	check := func(keep func(i, n int) bool) []string {
+	// full is the newest full record: a compaction may cut there, and
+	// dropping the record before it keeps every delta's base. It must
+	// leave a record before that one for the non-suffix below.
+	n := len(rep.Records)
+	full := n - 1
+	for full > 0 && rep.Records[full].TableDelta != nil {
+		full--
+	}
+	if full < 2 {
+		t.Fatalf("crash image of %d records has its newest full record at %d, want one at 2 or later", n, full)
+	}
+	check := func(keep func(i int) bool) []string {
 		t.Helper()
 		img := journal.AppendHeader(nil)
+		var base *journal.EpochRecord
 		for i := range rep.Records {
-			if keep(i, len(rep.Records)) {
-				if img, err = journal.AppendRecord(img, &rep.Records[i]); err != nil {
+			if keep(i) {
+				if img, err = journal.AppendRecord(img, &rep.Records[i], base); err != nil {
 					t.Fatal(err)
 				}
+				base = &rep.Records[i]
 			}
 		}
 		mut := r
@@ -161,18 +174,18 @@ func TestCheckFleetConvictsBadCompaction(t *testing.T) {
 		checkHostContinuity(0, &mut, func(format string, args ...any) { vs = append(vs, fmt.Sprintf(format, args...)) })
 		return vs
 	}
-	if vs := check(func(int, int) bool { return true }); len(vs) != 0 {
+	if vs := check(func(int) bool { return true }); len(vs) != 0 {
 		t.Fatalf("the image as compacted has violations: %v", vs)
 	}
-	if vs := check(func(i, n int) bool { return i >= n-2 }); len(vs) != 0 {
+	if vs := check(func(i int) bool { return i >= full }); len(vs) != 0 {
 		t.Fatalf("a shorter suffix of the image has violations: %v", vs)
 	}
 	for _, m := range []struct {
 		name string
-		keep func(i, n int) bool
+		keep func(i int) bool
 	}{
-		{"drops-the-newest-record", func(i, n int) bool { return i < n-1 }},
-		{"keeps-a-non-suffix", func(i, n int) bool { return i != n-2 }},
+		{"drops-the-newest-record", func(i int) bool { return i < n-1 }},
+		{"keeps-a-non-suffix", func(i int) bool { return i != full-1 }},
 	} {
 		if vs := check(m.keep); len(vs) == 0 {
 			t.Errorf("a compaction that %s escaped the crash-seam oracle", m.name)
