@@ -157,24 +157,28 @@ tenancy-short:
 
 # Plan identity and ownership gate: the planner's output is pinned byte
 # for byte (685 seeded inputs against digests taken before the planner
-# workspace existed, the incremental chains again through arenas), the
-# final gate's delta form gives the full gate's verdict and convicts its
-# two stale-core mutants, a Result shares nothing with the pooled
-# workspace or the arena it was planned in (scribbled workspaces, eight
-# goroutines, -race), every core a dense host carries over between
-# epochs equals a fresh remap (core failures, renamed slots, remote
-# plans and failed remaps included), and the allocation ceilings that
+# workspace existed, the incremental chains again through arenas, and
+# all of it again planned in sparse vCPU ids and renamed back), ids are
+# refused out of order and name the table (a plannersvc round trip with
+# a gap in them included), the final gate's delta form gives the full
+# gate's verdict and convicts its two stale-core mutants, a Result shares
+# nothing with the pooled workspace or the arena it was planned in
+# (scribbled workspaces, eight goroutines, -race), every core a dense
+# host carries over between epochs equals a fresh remap (core failures,
+# moved names, remote plans and failed remaps included) and is the
+# previous plan's and epoch's own list, shared tables stay as they were
+# first encoded through fleet churn, and the allocation ceilings that
 # say the scratch really is reused: a warm small-host plan, the table
 # checkers, a mixed-shape Place+Depart pair, a warm dense flush, and the
 # per-core EDF simulation (jobs by value: its allocations grow with the
 # slices' log-growth, not with the jobs released).
 plan-short:
-	$(GO) test ./internal/planner -run 'TestPlanDigests|TestDeltaGate|TestSmallHostPlanAllocationCeiling'
+	$(GO) test ./internal/planner -run 'TestPlanDigests|TestSparseIDs|TestPlanRefusesUnorderedIDs|TestDeltaGate|TestSmallHostPlanAllocationCeiling'
 	$(GO) test ./internal/periodic -run 'TestSimulateEDFAllocatesPerSimulationNotPerJob'
 	$(GO) test -race -count=3 ./internal/planner -run 'TestPlanResultOwnsItsMemory|TestConcurrentPlanStress|TestCacheConcurrent'
 	$(GO) test ./internal/table -run 'TestCheckAndValidateAllocateNothing|TestValidateDelta|TestCheckSubset'
-	$(GO) test ./internal/fleet -run 'TestMixedPlaceDepartAllocationCeiling'
-	$(GO) test ./internal/core -run 'TestCacheHitResultOwnsItsGuarantees|TestReconfigureInactiveSlotShedsNothing|TestCarriedCores|TestRemotePlanOrFailedRemap|TestDenseIncrementalFlushAllocationCeiling'
+	$(GO) test ./internal/fleet -run 'TestMixedPlaceDepartAllocationCeiling|TestSharedTablesStayImmutable'
+	$(GO) test ./internal/core -run 'TestCacheHitResultOwnsItsGuarantees|TestReconfigureInactiveSlotShedsNothing|TestCarriedCores|TestAdoptedCoresAreShared|TestRemotePlanOrFailedRemap|TestRemotePlanWithAnIDGap|TestBackendTableMustNameActiveSlots|TestDenseIncrementalFlushAllocationCeiling'
 
 # Full micro-benchmark pass over the hot-path packages.
 bench:

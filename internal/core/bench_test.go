@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -66,32 +67,50 @@ func reportPercentiles(b *testing.B, lats []time.Duration) {
 
 // BenchmarkReplanStorm measures coalesced churn-batch replan latency on
 // a dense 16-core host, the ROADMAP's replan-latency bottleneck. Each
-// iteration is one flushed batch toggling three VMs that live on three
-// different cores — the paper's "tables are regenerated on demand"
-// path under a 3-of-16-core perturbation:
+// iteration is one flushed batch changing the state of three VMs — the
+// paper's "tables are regenerated on demand" path under a 3-of-16-core
+// perturbation:
 //
 //   - scratch: the full planner runs for every batch (the baseline the
-//     acceptance criterion compares against);
-//   - incremental: the 13 untouched cores are pinned and their slice
-//     tables reused, only the dirty remainder is re-synthesized.
+//     acceptance criterion compares against), toggling the last three
+//     slots;
+//   - incremental: the same toggles; the 13 untouched cores are pinned
+//     and their schedules adopted, only the dirty remainder is
+//     re-synthesized;
+//   - walk: incremental, on the benchmark's random walk (denseOps): any
+//     three slots, so departures land anywhere in the slot order and the
+//     slice memo misses on the task sets the walk keeps minting.
 func BenchmarkReplanStorm(b *testing.B) {
-	batches := [][]Op{
+	toggles := [][]Op{
 		{{Kind: OpDeactivate, Slot: 189}, {Kind: OpDeactivate, Slot: 190}, {Kind: OpDeactivate, Slot: 191}},
 		{{Kind: OpActivate, Slot: 189}, {Kind: OpActivate, Slot: 190}, {Kind: OpActivate, Slot: 191}},
 	}
 	for _, tc := range []struct {
-		name string
-		fast bool
+		name       string
+		fast, walk bool
 	}{
-		{"mode=scratch", false},
-		{"mode=incremental", true},
+		{"mode=scratch", false, false},
+		{"mode=incremental", true, false},
+		{"mode=walk", true, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			_, ctrl := stormRig(b, tc.fast)
+			rng := rand.New(rand.NewSource(1))
+			on, off := make([]int, 192), []int(nil)
+			for i := range on {
+				on[i] = i
+			}
+			batch := func(i int) []Op {
+				if tc.walk {
+					return denseOps(rng, &on, &off)
+				}
+				return toggles[i%len(toggles)]
+			}
 			lats := make([]time.Duration, 0, b.N)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ctrl.SubmitBatch(batches[i%len(batches)])
+				ctrl.SubmitBatch(batch(i))
 				start := time.Now()
 				tr, err := ctrl.Flush()
 				lat := time.Since(start)

@@ -9,17 +9,15 @@ import (
 )
 
 // TestCacheHitResultOwnsItsGuarantees pins what System.Plan's result
-// owns when the planner cache served it: the guarantees (renumbered into
-// slot ids) and the table are the caller's, so writing them must not
-// reach the cached Result that later hits are served from — and the
-// renumbering itself must not have been done on the cached Result in
-// place. Tasks, Splits and ClusterCores are shared with the cache,
-// read-only.
+// owns when the planner cache served it: the guarantees (in slot ids)
+// and the table are the caller's, so writing them must not reach the
+// cached Result that later hits are served from. Tasks, Splits and
+// ClusterCores are shared with the cache, read-only.
 func TestCacheHitResultOwnsItsGuarantees(t *testing.T) {
 	cache := planner.NewCache(0)
 
-	// An inactive slot in front makes slot ids differ from spec order,
-	// so an in-place renumbering of the cached guarantees would show.
+	// An inactive slot in front makes slot ids differ from spec order:
+	// the plan is in slot ids, not positions.
 	padded := func() *System {
 		sys := NewSystem(2, planner.Options{}, dispatch.Options{})
 		sys.Cache = cache
@@ -74,19 +72,20 @@ func TestCacheHitResultOwnsItsGuarantees(t *testing.T) {
 		t.Errorf("cache-served table was corrupted by the first caller: Len %d", res2.Table.Len)
 	}
 
-	// The cached Result itself is still in the planner universe.
+	// The cached Result itself is the planner's, in the slot ids the
+	// systems planned it in.
 	specs := []planner.VCPUSpec{
-		{Name: "a", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
-		{Name: "b", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
-		{Name: "c", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
+		{ID: 1, Name: "a", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
+		{ID: 2, Name: "b", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
+		{ID: 3, Name: "c", Util: planner.Util{Num: 2, Den: 3}, LatencyGoal: 10_000_000},
 	}
 	shared, hit, err := cache.Plan(specs, planner.Options{Cores: 2})
 	if err != nil || !hit {
 		t.Fatalf("direct lookup of the cached plan: hit=%v err=%v", hit, err)
 	}
 	for i, g := range shared.Guarantees {
-		if g.VCPU != i {
-			t.Errorf("cached guarantee %d was renumbered in place: vcpu %d", i, g.VCPU)
+		if g.VCPU != i+1 || g.Service <= 0 {
+			t.Errorf("cached guarantee %d was written to: %+v", i, g)
 		}
 	}
 	if shared.FromCache || shared.Table.Generation != 1 {

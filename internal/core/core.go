@@ -47,10 +47,10 @@ type TableSink interface {
 }
 
 // PlanFunc is a planning backend: given the active population's specs
-// and options it returns a planner result in the planner's universe
-// (vCPU ids = spec order, core ids = logical survivor order). It is the
-// hook through which planning can be served remotely (plannersvc) — nil
-// means the local planner (System.plan's ladder).
+// and options it returns a planner result as the planner would: vCPUs
+// named by the specs' IDs (the slot ids), core ids the logical survivor
+// order. It is the hook through which planning can be served remotely
+// (plannersvc) — nil means the local planner (System.plan's ladder).
 type PlanFunc func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error)
 
 // VMConfig describes one single-vCPU VM slot in the system. (The paper
@@ -76,9 +76,11 @@ type slot struct {
 }
 
 // System models the host's VM population and produces scheduling
-// tables for it. Slot indices are stable: they double as vCPU ids in
-// the generated tables, so a dispatcher attached to a machine with one
-// vCPU per slot can adopt every regenerated table.
+// tables for it. Slot indices are stable: they are the vCPU ids the
+// planner plans in (VCPUSpec.ID) and the generated tables carry, so a
+// dispatcher attached to a machine with one vCPU per slot can adopt
+// every regenerated table, and a core whose VMs did not change keeps its
+// schedule from one plan to the next.
 //
 // Locking discipline: mu guards slots, failed, and generation. Every
 // exported method takes mu itself; unexported helpers with the Locked
@@ -131,14 +133,13 @@ type System struct {
 	inc *incremental
 
 	// Buffers reused from one planning step to the next, valid until the
-	// helper that fills them runs again (all under mu): the active specs
-	// and their slots, the online core ids, and the population snapshot a
-	// flush may roll back to. Whatever outlives the step — PrevPlan's
-	// specs, what a PlanFunc backend is handed — gets a private copy.
-	specs    []planner.VCPUSpec
-	specSlot []int
-	online   []int
-	snap     []slot
+	// helper that fills them runs again (all under mu): the active specs,
+	// the online core ids, and the population snapshot a flush may roll
+	// back to. Whatever outlives the step — PrevPlan's specs, what a
+	// PlanFunc backend is handed — gets a private copy.
+	specs  []planner.VCPUSpec
+	online []int
+	snap   []slot
 }
 
 // NewSystem creates a system with the given number of guest cores.
@@ -354,25 +355,24 @@ func (s *System) restoreLocked(snap []slot) {
 	}
 }
 
-// activeSpecsLocked materializes the active population as planner specs
-// plus the owning slot of each spec (in s.specs and s.specSlot: valid
-// until the next call).
-func (s *System) activeSpecsLocked() (specs []planner.VCPUSpec, specSlot []int) {
-	s.specs, s.specSlot = s.specs[:0], s.specSlot[:0]
+// activeSpecsLocked materializes the active population as planner specs,
+// each numbered by its slot (in s.specs: valid until the next call).
+func (s *System) activeSpecsLocked() []planner.VCPUSpec {
+	s.specs = s.specs[:0]
 	for id, sl := range s.slots {
 		if !sl.active {
 			continue
 		}
 		s.specs = append(s.specs, planner.VCPUSpec{
+			ID:          id,
 			Name:        sl.cfg.Name,
 			Util:        sl.cfg.Util,
 			LatencyGoal: sl.cfg.LatencyGoal,
 			Capped:      sl.cfg.Capped,
 			Class:       sl.cfg.Class,
 		})
-		s.specSlot = append(s.specSlot, id)
 	}
-	return s.specs, s.specSlot
+	return s.specs
 }
 
 // Plan generates a scheduling table covering every slot (with
@@ -384,10 +384,10 @@ func (s *System) Plan() (*table.Table, *planner.Result, error) {
 
 // PlanUsing is Plan with an explicit planning backend: fn receives the
 // active specs and the topology-adjusted options and must return a
-// result in the planner universe, which PlanUsing then remaps into the
-// slot-id/physical-core universe exactly like Plan. A nil fn selects
-// the local planner (System.plan's ladder). This is how remote
-// planning (plannersvc.Client.PlanFunc) and the churn experiments'
+// result as the planner would, which PlanUsing then places on the
+// physical cores exactly like Plan. A nil fn selects the local planner
+// (System.plan's ladder). This is how remote planning
+// (plannersvc.Client.PlanFunc) and the churn experiments'
 // outage-simulating backends slot into the same pipeline.
 func (s *System) PlanUsing(fn PlanFunc) (*table.Table, *planner.Result, error) {
 	s.mu.Lock()
@@ -396,7 +396,7 @@ func (s *System) PlanUsing(fn PlanFunc) (*table.Table, *planner.Result, error) {
 }
 
 func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) {
-	specs, specSlot := s.activeSpecsLocked()
+	specs := s.activeSpecsLocked()
 	if len(specs) == 0 {
 		return nil, nil, fmt.Errorf("core: no active VMs to plan for")
 	}
@@ -418,44 +418,24 @@ func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	// Only a plan from the arena can have adopted cores; a remote result
-	// is neither trusted nor a source of carried-over cores.
-	var adopted []bool
-	if fn == nil && s.Incremental {
-		adopted = s.incLocked().arena.Adopted()
-	}
-	tbl, err := s.remapLocked(res.Table, adopted, specSlot, fn == nil)
+	tbl, err := s.remapLocked(res.Table, fn == nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	if s.Incremental {
-		// The planner-universe result seeds the next plan's dirty-core
-		// diff. Any successful plan, local or remote, is the population
-		// the next batch perturbs; only a local one's remap is carried.
-		inc := s.incLocked()
-		inc.prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res}
-		inc.prevOut = nil
-		if fn == nil {
-			inc.prevOut = tbl
-			inc.prevActive = slices.Grow(inc.prevActive[:0], len(s.slots))[:len(s.slots)]
-			clear(inc.prevActive)
-			for _, id := range specSlot {
-				inc.prevActive[id] = true
-			}
-			inc.prevOnline = append(inc.prevOnline[:0], s.online...)
-		}
+		// Any successful plan, local or remote, is the population the
+		// next batch perturbs and seeds the next plan's dirty-core diff.
+		s.incLocked().prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res}
 	}
 	// res itself is read-only from here on — the cache may be sharing it
 	// with other systems and the next plan diffs against it — so the
-	// caller gets a copy of the struct with the two things the slot-id
-	// universe changes: the guarantees (renumbered so callers can
-	// re-check) and the table. Everything else (Tasks, CoreTasks,
-	// Splits, ClusterCores) is shared and must not be written.
+	// caller gets a copy of the struct with its own table. Everything
+	// else (Guarantees, Tasks, CoreTasks, Splits, ClusterCores) is the
+	// planner's and must not be written; guarantees a cache shares with
+	// every later hit are the caller's own copy.
 	out := *res
-	out.Guarantees = make([]table.Guarantee, len(res.Guarantees))
-	for i, g := range res.Guarantees {
-		g.VCPU = specSlot[g.VCPU]
-		out.Guarantees[i] = g
+	if fn == nil && !s.Incremental && s.Cache != nil {
+		out.Guarantees = slices.Clone(res.Guarantees)
 	}
 	s.generation++
 	tbl.Generation = s.generation
@@ -552,19 +532,12 @@ func (s *System) plan(specs []planner.VCPUSpec, opts planner.Options) (res *plan
 }
 
 // incremental is what an Incremental System carries from one plan to
-// the next. prev is the last successful plan in the planner universe,
-// the PlanIncremental input; arena is the planner workspace the system's
-// plans and admission checks run in. prevOut is prev's remapped table —
-// nil when prev came from a PlanVia backend — with the active slots and
-// online cores it was remapped under: remapLocked carries its cores over
-// for the cores the next plan adopts. prev and prevOut advance together,
-// once a remap has succeeded.
+// the next. prev is the last successful plan as the planner returned it,
+// the PlanIncremental input, once its remap has succeeded; arena is the
+// planner workspace the system's plans and admission checks run in.
 type incremental struct {
-	prev       *planner.PrevPlan
-	arena      planner.Arena
-	prevOut    *table.Table
-	prevActive []bool
-	prevOnline []int
+	prev  *planner.PrevPlan
+	arena planner.Arena
 }
 
 func (s *System) incLocked() *incremental {
@@ -577,7 +550,7 @@ func (s *System) incLocked() *incremental {
 // admitLocked runs the planner's exact admission check — of the LS specs
 // only when lsOnly — for the active population on the surviving cores.
 func (s *System) admitLocked(lsOnly bool) error {
-	specs, _ := s.activeSpecsLocked()
+	specs := s.activeSpecsLocked()
 	cores := len(s.onlineCoresLocked())
 	if cores == 0 {
 		return fmt.Errorf("core: every core has failed")
@@ -593,83 +566,56 @@ func (s *System) admitLocked(lsOnly bool) error {
 	return planner.Admit(specs, cores)
 }
 
-// remapLocked rewrites a planner table (vCPU ids = active-spec order,
-// core ids = logical survivor order) into the slot-id and physical-core
-// universe: empty entries for inactive slots, and — when cores have
-// failed — logical planner cores renumbered onto the live physical
-// ids, with empty CoreTables holding the dead cores' positions.
+// remapLocked places a planner table (vCPU ids = slot ids, core ids =
+// logical survivor order) on the physical cores: a VCPUs entry for every
+// slot (inactive ones fully fenced) and — when cores have failed — the
+// logical planner cores on the live physical ids, with empty CoreTables
+// holding the dead cores' positions. Each placed core shares the
+// planner's allocation list, as committed tables are never written: a
+// core the planner adopted from the previous plan is the previous
+// epoch's list too.
 //
 // trusted marks tables the in-process planner produced: those were
 // validated, bounded and guarantee-checked before they were returned,
-// and the remap only renames ids (allocation timing is copied
-// verbatim), so re-checking here would redo work per churn flush.
-// Tables from an external backend (PlanVia) are validated and held to
-// the slice bound here.
-//
-// adopted is the arena's Adopted for this plan. A core the planner
-// adopted holds the previous plan's core with its vCPUs renamed by name,
-// so when neither the online cores nor any name's slot moved since
-// prevOut was remapped, its remap is prevOut's core: that CoreTable's
-// allocation list is shared instead of copied, as committed tables are
-// never written.
-func (s *System) remapLocked(in *table.Table, adopted []bool, specSlot []int, trusted bool) (*table.Table, error) {
+// so re-checking here would redo work per churn flush. A table from an
+// external backend (PlanVia) must name active slots and cores only, and
+// is validated and held to the slice bound here.
+func (s *System) remapLocked(in *table.Table, trusted bool) (*table.Table, error) {
 	online := s.onlineCoresLocked()
 	if len(in.Cores) > len(online) {
 		return nil, fmt.Errorf("core: planner produced %d core tables for %d online cores", len(in.Cores), len(online))
 	}
-	carry := trusted && len(adopted) > 0 && len(adopted) == len(in.Cores) && s.inc.prevOut != nil &&
-		slices.Equal(online, s.inc.prevOnline) && !s.slotMovedLocked(specSlot)
 	out := &table.Table{Len: in.Len}
 	out.VCPUs = make([]table.VCPUInfo, len(s.slots))
 	for id, sl := range s.slots {
-		out.VCPUs[id] = table.VCPUInfo{
-			Name:     sl.cfg.Name,
-			Capped:   sl.cfg.Capped || !sl.active, // inactive: fully fenced
-			HomeCore: -1,
+		vi := table.VCPUInfo{Capped: true, HomeCore: -1} // inactive: fully fenced
+		if sl.active && id < len(in.VCPUs) {
+			vi = in.VCPUs[id]
+			if vi.HomeCore >= 0 && vi.HomeCore < len(online) {
+				vi.HomeCore = online[vi.HomeCore]
+			}
 		}
-	}
-	for specIdx, slotID := range specSlot {
-		vi := in.VCPUs[specIdx]
-		out.VCPUs[slotID].Capped = vi.Capped
-		out.VCPUs[slotID].HomeCore = vi.HomeCore
-		if vi.HomeCore >= 0 && vi.HomeCore < len(online) {
-			out.VCPUs[slotID].HomeCore = online[vi.HomeCore]
-		}
-		out.VCPUs[slotID].Split = vi.Split
-		out.VCPUs[slotID].UtilizationPPM = vi.UtilizationPPM
-		out.VCPUs[slotID].LatencyGoal = vi.LatencyGoal
+		vi.Name = sl.cfg.Name
+		out.VCPUs[id] = vi
 	}
 	out.Cores = make([]table.CoreTable, s.cores)
 	for c := range out.Cores {
 		out.Cores[c].Core = c
 	}
-	// One backing for every core remapped here: what an epoch remaps
-	// lives and dies as a whole.
-	total := 0
-	for c := range in.Cores {
-		if !carry || !adopted[c] {
-			total += len(in.Cores[c].Allocs)
+	for _, src := range in.Cores {
+		if src.Core < 0 || src.Core >= len(online) {
+			return nil, fmt.Errorf("core: planner produced a table for core %d of %d online", src.Core, len(online))
 		}
-	}
-	backing := make([]table.Alloc, 0, total)
-	for c := range in.Cores {
-		src := &in.Cores[c]
-		phys := online[src.Core]
-		dst := &out.Cores[phys]
-		if carry && adopted[c] {
-			*dst = s.inc.prevOut.Cores[phys]
-			continue
-		}
-		n := len(backing)
-		for _, a := range src.Allocs {
-			if a.VCPU != table.Idle {
-				a.VCPU = specSlot[a.VCPU]
-			}
-			backing = append(backing, a)
-		}
-		dst.Allocs = backing[n:len(backing):len(backing)]
+		out.Cores[online[src.Core]].Allocs = src.Allocs
 	}
 	if !trusted {
+		for _, ct := range out.Cores {
+			for _, a := range ct.Allocs {
+				if a.VCPU != table.Idle && (a.VCPU < 0 || a.VCPU >= len(s.slots) || !s.slots[a.VCPU].active) {
+					return nil, fmt.Errorf("core: planning backend's table gives core %d time to vcpu %d, no active slot", ct.Core, a.VCPU)
+				}
+			}
+		}
 		if err := out.Validate(); err != nil {
 			return nil, fmt.Errorf("core: remapped table invalid: %w", err)
 		}
@@ -678,26 +624,6 @@ func (s *System) remapLocked(in *table.Table, adopted []bool, specSlot []int, tr
 		}
 	}
 	return out, nil
-}
-
-// slotMovedLocked reports whether a VM the planner could match by name
-// between the previous plan and the population in specSlot changed
-// slots: it left a slot active then for one that was not. Slot names
-// never change and active names are distinct, so that is the only way an
-// adopted core can remap to different slot ids than prevOut's.
-func (s *System) slotMovedLocked(specSlot []int) bool {
-	prevActive := s.inc.prevActive
-	for g, was := range prevActive {
-		if !was || s.slots[g].active {
-			continue
-		}
-		for _, id := range specSlot {
-			if (id >= len(prevActive) || !prevActive[id]) && s.slots[id].cfg.Name == s.slots[g].cfg.Name {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // BuildDispatcher plans the current population and returns a dispatcher

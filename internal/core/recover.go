@@ -35,9 +35,9 @@ type RecoverOptions struct {
 	// as Recover of the whole one.
 	MaxHistory int
 	// Incremental re-arms System.Incremental on the rebuilt system. The
-	// previous plan itself is not journaled (it lives in the planner
-	// universe), so the first post-recovery plan is a full one; later
-	// plans run incrementally again.
+	// previous plan itself (its task placement) is not journaled, so the
+	// first post-recovery plan is a full one; later plans run
+	// incrementally again.
 	Incremental bool
 	// ReplanTorn, when the journal tail was torn or corrupt, replans the
 	// recovered population immediately and commits the result as a fresh

@@ -3,12 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
+	"tableau/internal/dispatch"
+	"tableau/internal/planner"
 	"tableau/internal/plannersvc"
+	"tableau/internal/table"
 )
 
 // TestControllerRemotePlanning runs a churn transition through the full
@@ -121,5 +126,87 @@ func TestControllerRemoteOutageFallsBackLocally(t *testing.T) {
 	}
 	if tr2.Version <= tr.Version {
 		t.Fatalf("epoch versions not monotonic: %d then %d", tr.Version, tr2.Version)
+	}
+}
+
+// TestRemotePlanWithAnIDGapEqualsTheLocalPlan: the wire carries the slot
+// ids, so a population with an inactive slot in the middle — a gap in
+// the ids — comes back from a plannersvc round trip as the table and
+// guarantees the in-process planner makes of it.
+func TestRemotePlanWithAnIDGapEqualsTheLocalPlan(t *testing.T) {
+	s := NewSystem(2, planner.Options{}, dispatch.Options{})
+	for i := 0; i < 5; i++ {
+		if _, err := s.AddVM(eighthVM(fmt.Sprintf("vm%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetActive(1, false); err != nil {
+		t.Fatal(err)
+	}
+	svc := plannersvc.NewServer(16)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := &plannersvc.Client{BaseURL: ts.URL, MaxAttempts: 2}
+
+	local, lres, err := s.PlanUsing(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, rres, err := s.PlanUsing(client.PlanFunc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := svc.CacheStats(); misses == 0 {
+		t.Fatal("the daemon never planned")
+	}
+	remote.Generation = local.Generation
+	want, err := local.AppendEncodedCompact(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := remote.AppendEncodedCompact(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the remote plan's table differs from the local plan's")
+	}
+	if !slices.Equal(rres.Guarantees, lres.Guarantees) {
+		t.Errorf("remote guarantees %v, local %v", rres.Guarantees, lres.Guarantees)
+	}
+	for _, g := range lres.Guarantees {
+		if g.VCPU == 1 {
+			t.Error("the inactive slot holds a guarantee")
+		}
+	}
+}
+
+// TestBackendTableMustNameActiveSlots: a planning backend's table is
+// checked before it is placed — one that gives time to a slot with no
+// VM, or names a core past the online ones, commits nothing: the
+// arrival is shed and the epoch stands.
+func TestBackendTableMustNameActiveSlots(t *testing.T) {
+	for name, spoil := range map[string]func(*table.Table){
+		"inactive slot": func(tbl *table.Table) { tbl.Cores[0].Allocs[0].VCPU = 3 },
+		"unknown core":  func(tbl *table.Table) { tbl.Cores[0].Core = 7 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, _, ctrl, ids, _ := churnRig(t, 2, 2, 2)
+			before := ctrl.Epoch()
+			ctrl.PlanVia = func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
+				res, err := planner.Plan(specs, opts)
+				if err == nil {
+					spoil(res.Table)
+				}
+				return res, err
+			}
+			ctrl.Submit(Op{Kind: OpActivate, Slot: ids[2]})
+			if tr, _ := ctrl.Flush(); tr.Version != 0 || len(tr.Rejected) != 1 {
+				t.Fatalf("a spoiled backend table committed: %+v", tr)
+			}
+			if ctrl.Epoch().Version != before.Version || s.Active(ids[2]) {
+				t.Error("the rolled-back batch left the host changed")
+			}
+		})
 	}
 }

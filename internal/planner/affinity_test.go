@@ -114,48 +114,3 @@ func TestAffinityUnplaceableReportsClearly(t *testing.T) {
 		t.Fatal("unplaceable affine population accepted")
 	}
 }
-
-func TestHeadroom(t *testing.T) {
-	// 2 cores hosting two 25% VMs: how many more 25% VMs fit?
-	existing := affinitySpecs()[:2]
-	shape := VCPUSpec{Name: "extra", Util: Util{Num: 1, Den: 4}, LatencyGoal: 20_000_000, Capped: true}
-	n, err := Headroom(existing, shape, Options{Cores: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Errorf("headroom = %d, want 6 (2 cores = 8 quarters, 2 used)", n)
-	}
-	// A full machine has no headroom.
-	full := affinitySpecs()[:4]
-	full = append(full, affinitySpecs()[:4]...)
-	for i := range full {
-		full[i].Name = fmt.Sprintf("f%d", i)
-	}
-	n, err = Headroom(full, shape, Options{Cores: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("headroom on a full machine = %d", n)
-	}
-	if _, err := Headroom(nil, VCPUSpec{Name: "bad"}, Options{Cores: 1}, 0); err == nil {
-		t.Error("invalid shape accepted")
-	}
-}
-
-func TestHeadroomMixedShapes(t *testing.T) {
-	// One 50% VM on 2 cores; how many 60% VMs fit? Utilization says 2.5
-	// but placement limits: core0 has 0.5+0.6=1.1 > 1 so each 60% needs
-	// its own core or a split. With splitting available: 0.5 + n*0.6 <=
-	// 2 => n <= 2.5 => 2.
-	existing := []VCPUSpec{{Name: "half", Util: Util{Num: 1, Den: 2}, LatencyGoal: 50_000_000}}
-	shape := VCPUSpec{Name: "big", Util: Util{Num: 3, Den: 5}, LatencyGoal: 50_000_000}
-	n, err := Headroom(existing, shape, Options{Cores: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("headroom = %d, want 2", n)
-	}
-}

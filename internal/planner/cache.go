@@ -81,11 +81,12 @@ func (c *Cache) SliceCache() *SliceCache { return c.slices }
 
 // CacheKey returns the canonical key for a planning input. Spec order
 // matters (worst-fit tie-breaking is order-sensitive), so no sorting is
-// applied. Every Options field that influences placement is part of the
-// key — including Affinity, which encodes the caller's view of the
-// machine topology: core.System narrows affinity sets to the surviving
-// cores after a fail-stop, so two plans before and after a topology
-// change must never collide on one cached table. Slices is deliberately
+// applied, and so do the vCPU ids the table is written in. Every Options
+// field that influences placement is part of the key — including
+// Affinity, which encodes the caller's view of the machine topology:
+// core.System narrows affinity sets to the surviving cores after a
+// fail-stop, so two plans before and after a topology change must never
+// collide on one cached table. Slices is deliberately
 // excluded: a memo hit returns what a fresh simulation would, so it
 // cannot change the produced table.
 func CacheKey(specs []VCPUSpec, opts Options) string {
@@ -118,7 +119,8 @@ func appendCacheKey(buf []byte, specs []VCPUSpec, opts Options) []byte {
 		}
 		buf = append(buf, '|')
 	}
-	for _, s := range specs {
+	pos, prev := positional(specs), -1
+	for i, s := range specs {
 		buf = append(buf, s.Name...)
 		buf = append(buf, ',')
 		buf = strconv.AppendInt(buf, s.Util.Num, 10)
@@ -135,6 +137,13 @@ func appendCacheKey(buf []byte, specs []VCPUSpec, opts Options) []byte {
 		if s.Class == BE {
 			buf = append(buf, 'b')
 		}
+		// The ids, where they are not the previous spec's plus one: a
+		// positionally numbered list keys as it always did.
+		id := s.id(i, pos)
+		if id != prev+1 {
+			buf = strconv.AppendInt(append(buf, '#'), int64(id), 10)
+		}
+		prev = id
 		buf = append(buf, ';')
 	}
 	return buf

@@ -8,9 +8,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"tableau/internal/table"
 )
 
 // The digest wall pins the planner's output, byte for byte, over a
@@ -45,6 +48,18 @@ func fleetHostSpecs(rng *rand.Rand, n int) []VCPUSpec {
 	return specs
 }
 
+// slotIDs numbers a fleet host's specs by slot, as core.System does: the
+// resident holds slot 0 and guest "s<n>" slot n.
+func slotIDs(specs []VCPUSpec) []VCPUSpec {
+	for i := range specs {
+		specs[i].ID = 0
+		if specs[i].Name != residentSpec.Name {
+			fmt.Sscanf(specs[i].Name, "s%d", &specs[i].ID)
+		}
+	}
+	return specs
+}
+
 func fleetGuest(rng *rand.Rand, name string) VCPUSpec {
 	sp := VCPUSpec{
 		Name:        name,
@@ -58,10 +73,11 @@ func fleetGuest(rng *rand.Rand, name string) VCPUSpec {
 	return sp
 }
 
-// denseSpec is slot's VM on the 16-core × 192 × 1/16 host.
+// denseSpec is slot's VM on the 16-core × 192 × 1/16 host, numbered by
+// its slot as core.System numbers it.
 func denseSpec(slot int) VCPUSpec {
 	return VCPUSpec{
-		Name: fmt.Sprintf("vm%d", slot), Util: Util{1, 16},
+		ID: slot, Name: fmt.Sprintf("vm%d", slot), Util: Util{1, 16},
 		LatencyGoal: fleetMixGoals[slot%len(fleetMixGoals)], Capped: true,
 	}
 }
@@ -108,6 +124,54 @@ func tightSpecs(rng *rand.Rand, cores int) []VCPUSpec {
 	return specs
 }
 
+// positionalResult renames a Result planned from specs into the
+// positional numbering (vCPU id = spec index) the digests were taken in:
+// the table's allocations and VCPUs entries, and the guarantees. Tasks,
+// CoreTasks and Splits are indexed by spec already. Specs numbered by
+// position come back as they are.
+func positionalResult(specs []VCPUSpec, res *Result) *Result {
+	if res == nil || positional(specs) {
+		return res
+	}
+	pos := make(map[int]int, len(specs))
+	for i, sp := range specs {
+		pos[sp.ID] = i
+	}
+	out := *res
+	tbl := *res.Table
+	tbl.VCPUs = make([]table.VCPUInfo, len(specs))
+	for i, sp := range specs {
+		tbl.VCPUs[i] = res.Table.VCPUs[sp.ID]
+	}
+	tbl.Cores = make([]table.CoreTable, len(res.Table.Cores))
+	for c, ct := range res.Table.Cores {
+		tbl.Cores[c] = table.CoreTable{Core: ct.Core}
+		for _, a := range ct.Allocs {
+			if a.VCPU != table.Idle {
+				a.VCPU = pos[a.VCPU]
+			}
+			tbl.Cores[c].Allocs = append(tbl.Cores[c].Allocs, a)
+		}
+	}
+	out.Table = &tbl
+	out.Guarantees = slices.Clone(res.Guarantees)
+	for i := range out.Guarantees {
+		out.Guarantees[i].VCPU = pos[out.Guarantees[i].VCPU]
+	}
+	return &out
+}
+
+// sparseIDs renumbers specs to ID 3k+1, k their ID or, numbered by
+// position, their index: a gap after every vCPU, and none at 0.
+func sparseIDs(specs []VCPUSpec) []VCPUSpec {
+	pos := positional(specs)
+	out := slices.Clone(specs)
+	for i := range out {
+		out[i].ID = 3*specs[i].id(i, pos) + 1
+	}
+	return out
+}
+
 // digestOf hashes everything a consumer can read off a planning
 // outcome. A failed plan digests its error text: which populations the
 // planner refuses, and why, is pinned too.
@@ -138,9 +202,9 @@ type digestCase struct {
 }
 
 // digestCases digests every pinned input, in a fixed order.
-func digestCases(viaArena bool) []digestCase {
+func digestCases(viaArena, sparse bool) []digestCase {
 	var out []digestCase
-	eachDigestCase(viaArena, func(name string, res *Result, err error) {
+	eachDigestCase(viaArena, sparse, func(name string, res *Result, err error) {
 		c := digestCase{name: name, digest: digestOf(res, err), failed: err != nil}
 		if err == nil {
 			c.stage, c.inc = res.Stage, res.Incremental
@@ -151,12 +215,20 @@ func digestCases(viaArena bool) []digestCase {
 }
 
 // eachDigestCase plans every pinned input, in a fixed order, and hands
-// each outcome to add. viaArena plans each incremental chain in an Arena
-// of its own, as core.System does.
-func eachDigestCase(viaArena bool, add func(name string, res *Result, err error)) {
+// each outcome to add, renamed into positional numbering. viaArena plans
+// each incremental chain in an Arena of its own, as core.System does;
+// sparse plans every input renumbered by sparseIDs.
+func eachDigestCase(viaArena, sparse bool, add func(name string, res *Result, err error)) {
+	number := func(specs []VCPUSpec) []VCPUSpec {
+		if sparse {
+			return sparseIDs(specs)
+		}
+		return specs
+	}
 	plan := func(name string, specs []VCPUSpec, opts Options) {
+		specs = number(specs)
 		res, err := Plan(specs, opts)
-		add(name, res, err)
+		add(name, positionalResult(specs, res), err)
 	}
 
 	// 8-core fleet hosts of 2-15 VMs: the population a Place plans.
@@ -240,18 +312,20 @@ func eachDigestCase(viaArena bool, add func(name string, res *Result, err error)
 		if viaArena {
 			planInc = new(Arena).PlanIncremental
 		}
-		res, err := planInc(specs, opts, nil)
-		add(name+"/0", res, err)
+		planned := number(specs)
+		res, err := planInc(planned, opts, nil)
+		add(name+"/0", positionalResult(planned, res), err)
 		var prev *PrevPlan
 		if err == nil {
-			prev = &PrevPlan{Specs: specs, Opts: opts, Res: res}
+			prev = &PrevPlan{Specs: planned, Opts: opts, Res: res}
 		}
 		for i := 1; i <= 50; i++ {
 			specs = step(rng, specs)
-			res, err := planInc(specs, opts, prev)
-			add(fmt.Sprintf("%s/%d", name, i), res, err)
+			planned := number(specs)
+			res, err := planInc(planned, opts, prev)
+			add(fmt.Sprintf("%s/%d", name, i), positionalResult(planned, res), err)
 			if err == nil {
-				prev = &PrevPlan{Specs: specs, Opts: opts, Res: res}
+				prev = &PrevPlan{Specs: planned, Opts: opts, Res: res}
 			}
 		}
 	}
@@ -269,13 +343,17 @@ func eachDigestCase(viaArena bool, add func(name string, res *Result, err error)
 				for used[fmt.Sprintf("s%d", slot)] {
 					slot = 1 + slot%19
 				}
-				next = append(next, fleetGuest(rng, fmt.Sprintf("s%d", slot)))
+				guest := fleetGuest(rng, fmt.Sprintf("s%d", slot))
+				guest.ID = slot
+				next = append(next, guest)
 			case op == 1 && len(next) > 2:
 				at := 1 + rng.Intn(len(next)-1)
 				next = append(next[:at], next[at+1:]...)
 			case len(next) > 1:
 				at := 1 + rng.Intn(len(next)-1)
+				id := next[at].ID
 				next[at] = fleetGuest(rng, next[at].Name)
+				next[at].ID = id
 			}
 		}
 		// core.System plans in slot order.
@@ -287,7 +365,7 @@ func eachDigestCase(viaArena bool, add func(name string, res *Result, err error)
 		})
 		return next
 	}
-	fleetStart := fleetHostSpecs(rand.New(rand.NewSource(7000)), 8)
+	fleetStart := slotIDs(fleetHostSpecs(rand.New(rand.NewSource(7000)), 8))
 	chain("chain-fleet8", 7100, Options{Cores: 8}, fleetStart, fleetStep)
 	chain("chain-fleet8-memo", 7100, Options{Cores: 8, Slices: NewSliceCache(0)}, fleetStart, fleetStep)
 	// The dense host's walk: three slots change state per step, inside
@@ -339,7 +417,7 @@ func eachDigestCase(viaArena bool, add func(name string, res *Result, err error)
 }
 
 func TestPlanDigests(t *testing.T) {
-	cases := digestCases(false)
+	cases := digestCases(false, false)
 
 	// The coverage the file claims, checked on what the cases produced.
 	var split, clustered, failed, incremental int

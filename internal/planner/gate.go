@@ -9,21 +9,19 @@ import (
 // This file is the planner's final gate: no table leaves planWith that
 // has not passed table.Validate and table.Check against its guarantees.
 //
-// The delta form. A core a plan adopted (synthesizeCores) holds the
-// previous plan's final schedule for that core, intervals byte for byte,
-// vCPU ids renamed through the renumbering — which maps each clean
-// previous vCPU to the current one of the same name, so no two previous
-// vCPUs share a current id. When the previous plan is one this
-// workspace's Arena planned and verified, a vCPU whose allocations lie
-// on adopted cores alone, in both plans, holds exactly the allocations
-// it held before; if its guarantee is also the one it held before, the
-// previous verdict is its verdict, and re-checking it can only repeat
-// that. So the gate re-walks only the cores the plan did not adopt, and
-// re-checks in full every vCPU that is new, holds a different
-// guarantee, or has time on a core that was not adopted in either plan.
-// Any other previous plan — a package-level PlanIncremental's, one from
-// a remote planner, one this workspace did not verify — gets the full
-// gate, as does every scratch and cache plan.
+// The delta form. A core a plan adopted (synthesizeCores) is the
+// previous plan's final schedule for that core, the same allocation
+// list, and vCPU ids are stable across plans. When the previous plan is
+// one this workspace's Arena planned and verified, a vCPU whose
+// allocations lie on adopted cores alone, in both plans, holds exactly
+// the allocations it held before; if its guarantee is also the one it
+// held before, the previous verdict is its verdict, and re-checking it
+// can only repeat that. So the gate re-walks only the cores the plan did
+// not adopt, and re-checks in full every vCPU that is new, holds a
+// different guarantee, or has time on a core that was not adopted in
+// either plan. Any other previous plan — a package-level
+// PlanIncremental's, one from a remote planner, one this workspace did
+// not verify — gets the full gate, as does every scratch and cache plan.
 
 // onFinalGate, when set (tests only), sees every delta-form gate: the
 // table, its full guarantees, the cores known valid and the guarantees
@@ -41,17 +39,7 @@ func finalGate(ws *workspace, tbl *table.Table, gs []table.Guarantee, pin *pinni
 		return nil, gs
 	}
 	n := len(tbl.VCPUs)
-	ws.prevOf = filled(ws.prevOf, n, -1)
-	for p, v := range pin.renumber {
-		if v < 0 {
-			continue
-		}
-		if v >= int32(n) || ws.prevOf[v] >= 0 {
-			return nil, gs // not a renaming: trust nothing
-		}
-		ws.prevOf[v] = int32(p)
-	}
-	ws.gAt = filled(ws.gAt, len(pin.renumber), -1)
+	ws.gAt = filled(ws.gAt, len(prev.VCPUs), -1)
 	for k, g := range pin.prevGs {
 		if g.VCPU >= 0 && g.VCPU < len(ws.gAt) {
 			ws.gAt[g.VCPU] = int32(k)
@@ -64,10 +52,8 @@ func finalGate(ws *workspace, tbl *table.Table, gs []table.Guarantee, pin *pinni
 		if g.VCPU < 0 || g.VCPU >= n {
 			return nil, gs
 		}
-		if p := ws.prevOf[g.VCPU]; p >= 0 && ws.gAt[p] >= 0 {
-			pg := pin.prevGs[ws.gAt[p]]
-			pg.VCPU = g.VCPU
-			dirty[g.VCPU] = pg != g
+		if g.VCPU < len(ws.gAt) && ws.gAt[g.VCPU] >= 0 {
+			dirty[g.VCPU] = pin.prevGs[ws.gAt[g.VCPU]] != g
 		}
 	}
 	// ... and has no time on a core either plan did not adopt.
@@ -81,10 +67,8 @@ func finalGate(ws *workspace, tbl *table.Table, gs []table.Guarantee, pin *pinni
 			}
 		}
 		for _, a := range prev.Cores[ci].Allocs {
-			if a.VCPU >= 0 && a.VCPU < len(pin.renumber) {
-				if v := pin.renumber[a.VCPU]; v >= 0 {
-					dirty[v] = true
-				}
+			if a.VCPU >= 0 && a.VCPU < n {
+				dirty[a.VCPU] = true
 			}
 		}
 	}

@@ -30,10 +30,12 @@ import (
 // stale or bogus pin can therefore only cause a planning *failure*
 // (which falls back to a scratch plan), never an unverified table.
 
-// PrevPlan threads the previous planning outcome into the next plan.
-// Res must be in the planner universe (vCPU ids = spec order, core ids
-// = logical) — i.e. captured before core.System remaps it — and is
-// treated as read-only.
+// PrevPlan threads the previous planning outcome into the next plan:
+// Specs are the specs Res was planned from, and Res is as the planner
+// returned it (vCPUs named by Specs' IDs, core ids logical), read-only.
+// A core the next plan adopts shares Res's allocation list, so Res's
+// table must never be written — nor, being immutable once pushed, need
+// it be copied.
 type PrevPlan struct {
 	Specs []VCPUSpec
 	Opts  Options
@@ -43,26 +45,20 @@ type PrevPlan struct {
 // pinning is the planWith input derived from a PrevPlan diff. It lives
 // in the workspace, like everything it points at except prevTable.
 type pinning struct {
-	// coreTasks[i] holds the tasks frozen onto planner core i, already
-	// renumbered into the current spec universe (Group = current spec
-	// index).
+	// coreTasks[i] holds the tasks frozen onto planner core i, their
+	// Group renumbered to the current spec index.
 	coreTasks []periodic.TaskSet
 	// pinnedSpec marks current spec indices whose placement is frozen.
 	pinnedSpec []bool
 	// cores counts non-empty coreTasks entries (Result.PinnedCores).
 	cores int
-	// prevTable is the previous plan's finished table (planner
-	// universe, read-only). Pinned cores adopt their previous final
-	// schedule from it verbatim (allocations renumbered), so synthesis
-	// and coalescing run O(dirty cores).
+	// prevTable is the previous plan's finished table (read-only).
+	// Pinned cores adopt their previous final schedule from it, the
+	// allocation list itself, so synthesis and coalescing run O(dirty
+	// cores).
 	prevTable *table.Table
-	// renumber maps previous spec indices to current ones for every
-	// clean VM (-1 for the rest) — the id translation schedule adoption
-	// applies.
-	renumber []int32
 	// prevGs are the guarantees prevTable was checked against, and
-	// trusted says this workspace checked it: prev.Res is the Result its
-	// Arena planned last (finalGate).
+	// trusted says this workspace checked it (ws.trusts, finalGate).
 	prevGs  []table.Guarantee
 	trusted bool
 }
@@ -100,8 +96,9 @@ func planIncremental(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPl
 //
 // Dirty-core diff rules:
 //   - a VM is clean iff it appears in both populations under the same
-//     name with identical (Util, LatencyGoal, Capped); arrivals,
-//     departures, and reconfigurations are dirty;
+//     ID and name with identical (Util, LatencyGoal, Capped); arrivals,
+//     departures, and reconfigurations are dirty — and so is every VM
+//     of a positionally numbered list whose position moved;
 //   - a split VM is clean only if every core hosting one of its pieces
 //     is otherwise clean (pinning a subset of a C=D chain would
 //     double-place the VM);
@@ -139,26 +136,26 @@ func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) 
 		return nil
 	}
 
-	if ws.cur == nil {
-		ws.cur = make(map[string]int, len(specs))
-	}
-	cur := ws.cur
-	defer clear(cur) // the keys would pin the caller's names
-	for i, s := range specs {
-		cur[s.Name] = i
-	}
 	// clean[j] is the current index of previous spec j when it is clean.
+	// Both lists are in increasing ID order, so one merge pairs them.
 	ws.renumber = filled(ws.renumber, len(prev.Specs), -1)
 	clean := ws.renumber
 	nClean := 0
+	prevPos, curPos := positional(prev.Specs), positional(specs)
+	i := 0
 	for j, p := range prev.Specs {
-		i, ok := cur[p.Name]
-		if !ok || p.Util.IsFull() {
-			continue
+		id := p.id(j, prevPos)
+		for i < len(specs) && specs[i].id(i, curPos) < id {
+			i++
 		}
-		if c := specs[i]; c.Util == p.Util && c.LatencyGoal == p.LatencyGoal && c.Capped == p.Capped {
+		if i == len(specs) {
+			break
+		}
+		if c := specs[i]; c.id(i, curPos) == id && c.Name == p.Name && !p.Util.IsFull() &&
+			c.Util == p.Util && c.LatencyGoal == p.LatencyGoal && c.Capped == p.Capped {
 			clean[j] = int32(i)
 			nClean++
+			i++
 		}
 	}
 	if nClean == 0 {
@@ -219,9 +216,8 @@ func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) 
 		coreTasks:  ws.coreTasks,
 		pinnedSpec: ws.pinnedSpec,
 		prevTable:  prev.Res.Table,
-		renumber:   clean,
 		prevGs:     prev.Res.Guarantees,
-		trusted:    ws.verified != nil && prev.Res == ws.verified,
+		trusted:    ws.trusts(prev),
 	}
 	pin := &ws.pin
 	for cid, ts := range prev.Res.CoreTasks {
@@ -241,27 +237,6 @@ func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) 
 		return nil
 	}
 	return pin
-}
-
-// renumberAllocs maps a previous plan's final core schedule into the
-// current spec universe, appending it to dst: intervals are copied
-// byte-for-byte, vCPU ids are translated through renum (Idle passes
-// through). ok is false, and dst comes back unextended, if any id has no
-// translation — callers must then fall back to fresh synthesis for that
-// core rather than adopt a schedule referencing a vanished VM.
-func renumberAllocs(dst, in []table.Alloc, renum []int32) ([]table.Alloc, bool) {
-	base := len(dst)
-	for _, a := range in {
-		v := a.VCPU
-		if v != table.Idle {
-			if v < 0 || v >= len(renum) || renum[v] < 0 {
-				return dst[:base], false
-			}
-			v = int(renum[v])
-		}
-		dst = append(dst, table.Alloc{Start: a.Start, End: a.End, VCPU: v})
-	}
-	return dst, true
 }
 
 // seedPinned installs the pinned task sets into the core states before
@@ -306,8 +281,8 @@ func seedPinned(ws *workspace, cores []*coreState, pin *pinning, res *Result) er
 // (Offset, WCET, Deadline, Period) and task order, so the key omits
 // names and groups: two cores — in the same plan or plans apart — whose
 // task parameters coincide share one simulation, and a hit returns the
-// byte-identical slots a fresh simulation would produce (vCPU
-// renumbering happens later, in tileSlots, via the caller's task set).
+// byte-identical slots a fresh simulation would produce (vCPU ids are
+// applied later, in tileSlots, via the caller's task set).
 // Cached results are shared and must be treated as read-only.
 //
 // Entries are LRU-evicted against a byte budget, like the

@@ -46,10 +46,13 @@ type SplitInfo struct {
 type Result struct {
 	// Table is the generated scheduling table, validated, coalesced,
 	// held to the slice bound, and proven to satisfy Guarantees. The
-	// dispatcher that installs it builds its slice index.
+	// dispatcher that installs it builds its slice index. It names vCPUs
+	// by VCPUSpec.ID. A core PlanIncremental adopted is the previous
+	// Result's allocation list itself: tables are never written.
 	Table *table.Table
 	// Guarantees holds the per-vCPU contracts the table was checked
-	// against: service per period window and maximum blackout.
+	// against, in spec order and by vCPU ID: service per period window
+	// and maximum blackout.
 	Guarantees []table.Guarantee
 	// Stage is the strongest technique that was needed.
 	Stage Stage
@@ -90,11 +93,11 @@ type Result struct {
 // Clone returns a copy of the result that shares no mutable slice
 // state with the original: Guarantees, Tasks, Splits (including each
 // split's Cores list), and ClusterCores are all deep-copied. Callers
-// that post-process a cached plan — remapping guarantee ids into
-// another universe, rewriting split placements — must work on a clone
-// so the shared original stays intact for other cache users. The Table
-// pointer is shared: tables are immutable by convention (consumers
-// build replacements, they never edit one in place).
+// that post-process a cached plan — rewriting guarantees or split
+// placements — must work on a clone so the shared original stays intact
+// for other cache users. The Table pointer is shared: tables are
+// immutable by convention (consumers build replacements, they never edit
+// one in place).
 func (r *Result) Clone() *Result {
 	out := *r
 	out.Guarantees = append([]table.Guarantee(nil), r.Guarantees...)
@@ -151,6 +154,7 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	if err := admit(ws, specs, opts.Cores, false); err != nil {
 		return nil, err
 	}
+	ids := ws.number(specs)
 	if len(opts.Affinity) > 0 {
 		if err := affineUtilBound(specs, opts.Affinity); err != nil {
 			return nil, err
@@ -315,17 +319,23 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	}
 
 	// Materialize per-core allocation lists. Until the copy-out at the
-	// end they are windows into the workspace.
+	// end they are windows into the workspace. The table speaks in vCPU
+	// ids: an id no spec holds gets a fenced entry.
 	tbl := &table.Table{Len: tableLen, Generation: 1}
 	tbl.Cores = make([]table.CoreTable, opts.Cores)
 	for i := range tbl.Cores {
 		tbl.Cores[i].Core = i
 	}
 	if len(specs) > 0 {
-		tbl.VCPUs = make([]table.VCPUInfo, len(specs))
+		tbl.VCPUs = make([]table.VCPUInfo, ids[len(ids)-1]+1)
+	}
+	if len(tbl.VCPUs) > len(specs) {
+		for v := range tbl.VCPUs {
+			tbl.VCPUs[v] = table.VCPUInfo{Capped: true, HomeCore: -1}
+		}
 	}
 	for i := range specs {
-		tbl.VCPUs[i] = table.VCPUInfo{
+		tbl.VCPUs[ids[i]] = table.VCPUInfo{
 			Name:           specs[i].Name,
 			Capped:         specs[i].Capped,
 			HomeCore:       -1,
@@ -339,14 +349,14 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 			continue
 		}
 		n := len(ws.tiled)
-		ws.tiled = append(ws.tiled, table.Alloc{Start: 0, End: tableLen, VCPU: v})
+		ws.tiled = append(ws.tiled, table.Alloc{Start: 0, End: tableLen, VCPU: ids[v]})
 		tbl.Cores[c].Allocs = ws.tiled[n : n+1 : n+1]
-		tbl.VCPUs[v].HomeCore = int(c)
+		tbl.VCPUs[ids[v]].HomeCore = int(c)
 	}
 	// Schedule adoption: a pinned core whose task set survived placement
-	// untouched (no new VM was packed onto it) reuses the previous
-	// plan's final post-coalesce schedule, renumbered into the current
-	// spec universe. Synthesis then skips tiling and the coalesce pass
+	// untouched (no new VM was packed onto it) is the previous plan's
+	// final post-coalesce schedule — the same list, shared: its vCPUs
+	// kept their ids. Synthesis then skips tiling and the coalesce pass
 	// skips the core entirely, making post-processing O(dirty cores).
 	// Disabled under the peephole pass, whose SwitchesSaved accounting
 	// would otherwise drift. Safety never rests on this: the final
@@ -366,7 +376,7 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 		}
 		ws.jobs = append(ws.jobs, j)
 	}
-	if err := synthesizeCores(ws, tbl, res, pin, tableLen, opts); err != nil {
+	if err := synthesizeCores(ws, tbl, res, tableLen, opts); err != nil {
 		return nil, err
 	}
 	if len(clusterSlots) > 0 {
@@ -376,13 +386,13 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 		}
 		for i, c := range clusterCores {
 			n := len(ws.tiled)
-			ws.tiled = tileSlots(ws.tiled, clusterSlots[i], clusterTasks, clusterH, tableLen)
+			ws.tiled = tileSlots(ws.tiled, clusterSlots[i], clusterTasks, ids, clusterH, tableLen)
 			tbl.Cores[c.id].Allocs = ws.tiled[n:len(ws.tiled):len(ws.tiled)]
 			res.ContextSwitches += len(clusterSlots[i]) * int(tableLen/clusterH)
 		}
 	}
 
-	res.Guarantees = guaranteesFor(ws, specs, cores, clusterTasks, tableLen)
+	res.Guarantees = guaranteesFor(ws, specs, ids, cores, clusterTasks, tableLen)
 
 	// Post-processing: coalesce unenforceable slivers, honoring the
 	// service guarantees. Coalescing never lengthens a list, so sizing
@@ -440,11 +450,15 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	}
 
 	// Copy out what the Result owns: one allocation backing carved per
-	// core, and one task backing shared by Tasks (every core's tasks in
-	// core order, then the cluster's) and the per-core CoreTasks windows.
+	// core the plan did not adopt (an adopted core is the previous
+	// Result's list), and one task backing shared by Tasks (every core's
+	// tasks in core order, then the cluster's) and the per-core CoreTasks
+	// windows.
 	total, nTasks := 0, len(clusterTasks)
 	for ci := range tbl.Cores {
-		total += len(tbl.Cores[ci].Allocs)
+		if !adopted[ci] {
+			total += len(tbl.Cores[ci].Allocs)
+		}
 		nTasks += len(cores[ci].tasks)
 	}
 	var backing []table.Alloc
@@ -453,6 +467,9 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	}
 	for ci := range tbl.Cores {
 		ct := &tbl.Cores[ci]
+		if adopted[ci] {
+			continue
+		}
 		if len(ct.Allocs) == 0 {
 			ct.Allocs = nil
 			continue
@@ -492,17 +509,18 @@ func coreHosting(cores []*coreState, p periodic.Task) int {
 }
 
 // tileSlots converts simulator slots (task indices into ts, covering
-// [0, srcLen)) into table allocations (vCPU indices, covering
-// [0, dstLen)) by repeating the cyclic schedule dstLen/srcLen times and
-// merging across tile seams. The allocations are appended to dst.
-func tileSlots(dst []table.Alloc, slots []periodic.Slot, ts periodic.TaskSet, srcLen, dstLen int64) []table.Alloc {
+// [0, srcLen)) into table allocations (vCPU ids, ids[task.Group],
+// covering [0, dstLen)) by repeating the cyclic schedule dstLen/srcLen
+// times and merging across tile seams. The allocations are appended to
+// dst.
+func tileSlots(dst []table.Alloc, slots []periodic.Slot, ts periodic.TaskSet, ids []int, srcLen, dstLen int64) []table.Alloc {
 	base := len(dst)
 	reps := dstLen / srcLen
 	dst = slices.Grow(dst, int(reps)*len(slots))
 	for r := int64(0); r < reps; r++ {
 		off := r * srcLen
 		for _, s := range slots {
-			a := table.Alloc{Start: s.Start + off, End: s.End + off, VCPU: ts[s.Task].Group}
+			a := table.Alloc{Start: s.Start + off, End: s.End + off, VCPU: ids[ts[s.Task].Group]}
 			if n := len(dst); n > base && dst[n-1].VCPU == a.VCPU && dst[n-1].End == a.Start {
 				dst[n-1].End = a.End
 				continue
@@ -513,11 +531,11 @@ func tileSlots(dst []table.Alloc, slots []periodic.Slot, ts periodic.TaskSet, sr
 	return dst
 }
 
-// guaranteesFor derives the per-vCPU table guarantees, in spec order:
-// the summed budget of the vCPU's (sub)tasks in every period window —
-// over every core's tasks, then the cluster's — and the latency goal as
-// the blackout bound.
-func guaranteesFor(ws *workspace, specs []VCPUSpec, cores []*coreState, clusterTasks periodic.TaskSet, tableLen int64) []table.Guarantee {
+// guaranteesFor derives the per-vCPU table guarantees, in spec order and
+// named by vCPU id: the summed budget of the vCPU's (sub)tasks in every
+// period window — over every core's tasks, then the cluster's — and the
+// latency goal as the blackout bound.
+func guaranteesFor(ws *workspace, specs []VCPUSpec, ids []int, cores []*coreState, clusterTasks periodic.TaskSet, tableLen int64) []table.Guarantee {
 	ws.svc, ws.period = sized(ws.svc, len(specs)), sized(ws.period, len(specs))
 	svc, period := ws.svc, ws.period
 	note := func(tk periodic.Task) {
@@ -547,9 +565,9 @@ func guaranteesFor(ws *workspace, specs []VCPUSpec, cores []*coreState, clusterT
 	for i, s := range specs {
 		switch {
 		case ws.dedicatedOf[i] >= 0:
-			gs = append(gs, table.Guarantee{VCPU: i, Service: tableLen, WindowLen: tableLen, MaxBlackout: s.LatencyGoal})
+			gs = append(gs, table.Guarantee{VCPU: ids[i], Service: tableLen, WindowLen: tableLen, MaxBlackout: s.LatencyGoal})
 		case period[i] != 0:
-			gs = append(gs, table.Guarantee{VCPU: i, Service: svc[i], WindowLen: period[i], MaxBlackout: s.LatencyGoal})
+			gs = append(gs, table.Guarantee{VCPU: ids[i], Service: svc[i], WindowLen: period[i], MaxBlackout: s.LatencyGoal})
 		}
 	}
 	return gs

@@ -22,7 +22,7 @@ const sliceFiguresDigest = "576269e0077c0fa46dd0a5a5a1d9848db6ef152a45b06aaa5fc3
 func TestSliceCountsMatchABuiltIndex(t *testing.T) {
 	h := sha256.New()
 	tables := 0
-	eachDigestCase(false, func(name string, res *Result, err error) {
+	eachDigestCase(false, false, func(name string, res *Result, err error) {
 		if err != nil {
 			return
 		}

@@ -34,6 +34,13 @@ func (c Class) String() string {
 // may come from an explicit SLA, from price-differentiated service tiers,
 // or from a fair-share default; the planner does not care.
 type VCPUSpec struct {
+	// ID is the vCPU's id in the planned table: its allocations, its
+	// VCPUs entry and its guarantee carry it. IDs must be strictly
+	// increasing in spec order; a spec list whose IDs are all zero is
+	// numbered by position. A caller that keeps a vCPU's ID while the
+	// population around it changes (core.System uses the slot id) lets
+	// PlanIncremental hand an unchanged core's schedule on as it is.
+	ID int
 	// Name identifies the vCPU, e.g. "vm3.0".
 	Name string
 	// Util is the reserved utilization in (0, 1].
@@ -60,6 +67,58 @@ func (s VCPUSpec) Validate() error {
 	}
 	if s.LatencyGoal <= 0 {
 		return fmt.Errorf("planner: vCPU %q: non-positive latency goal %d", s.Name, s.LatencyGoal)
+	}
+	return nil
+}
+
+// MaxVCPUID bounds a spec's ID: a plan's table holds one VCPUs entry
+// per id up to the largest.
+const MaxVCPUID = 0xffff
+
+// IDOrderError is the refusal of a spec list whose IDs are not strictly
+// increasing in spec order, or lie outside [0, MaxVCPUID].
+type IDOrderError struct {
+	Index int    // the offending spec's position
+	Name  string // its name
+	ID    int    // its ID
+	Prev  int    // its predecessor's ID, -1 for the first spec
+}
+
+func (e *IDOrderError) Error() string {
+	return fmt.Sprintf("planner: vCPU %q at position %d has id %d, not in (%d, %d]", e.Name, e.Index, e.ID, e.Prev, MaxVCPUID)
+}
+
+// positional reports whether specs are numbered by position: every ID
+// is zero.
+func positional(specs []VCPUSpec) bool {
+	for _, s := range specs {
+		if s.ID != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// id is the vCPU id of the spec at position i of a list that is, or is
+// not, numbered by position.
+func (s VCPUSpec) id(i int, positional bool) int {
+	if positional {
+		return i
+	}
+	return s.ID
+}
+
+// checkIDs refuses IDs that are set but not strictly increasing.
+func checkIDs(specs []VCPUSpec) error {
+	if positional(specs) {
+		return nil
+	}
+	prev := -1
+	for i, s := range specs {
+		if s.ID <= prev || s.ID > MaxVCPUID {
+			return &IDOrderError{Index: i, Name: s.Name, ID: s.ID, Prev: prev}
+		}
+		prev = s.ID
 	}
 	return nil
 }
@@ -174,11 +233,14 @@ func AdmitLS(specs []VCPUSpec, cores int) error {
 }
 
 // admit is the one admission check: every spec valid, names distinct,
-// and the summed utilization — of the LS specs only when lsOnly — within
-// the core count.
+// IDs increasing, and the summed utilization — of the LS specs only when
+// lsOnly — within the core count.
 func admit(ws *workspace, specs []VCPUSpec, cores int, lsOnly bool) error {
 	if cores <= 0 {
 		return fmt.Errorf("planner: non-positive core count %d", cores)
+	}
+	if err := checkIDs(specs); err != nil {
+		return err
 	}
 	if ws.seen == nil {
 		ws.seen = make(map[string]struct{}, len(specs))

@@ -13,11 +13,11 @@ import (
 
 // synthJob is one core's stage-4 synthesis work. When adoptFrom is
 // non-nil the core is pinned and its task set survived placement
-// untouched, so its previous final (post-coalesce) schedule is reused:
-// the EDF simulation still runs for the preemption/switch counters (a
-// SliceCache hit makes it nearly free), but tiling is skipped — the
-// allocations are adoptFrom's, renumbered: the adopted intervals are
-// byte-identical to the source core's, only vCPU ids differ.
+// untouched, so its previous final (post-coalesce) schedule is the
+// core's: the EDF simulation still runs for the preemption/switch
+// counters (a SliceCache hit makes it nearly free), but tiling is
+// skipped and the core takes adoptFrom's allocation list as it is — its
+// vCPUs kept their ids.
 type synthJob struct {
 	core      int
 	tasks     periodic.TaskSet
@@ -34,7 +34,7 @@ type synthJob struct {
 // into res. A failed simulation does not stop the rest — every core's
 // still runs and feeds the slice memo — and the first failure is what
 // the caller sees.
-func synthesizeCores(ws *workspace, tbl *table.Table, res *Result, pin *pinning, tableLen int64, opts Options) error {
+func synthesizeCores(ws *workspace, tbl *table.Table, res *Result, tableLen int64, opts Options) error {
 	var firstErr error
 	need := 0
 	for i := range ws.jobs {
@@ -52,9 +52,7 @@ func synthesizeCores(ws *workspace, tbl *table.Table, res *Result, pin *pinning,
 		reps := int(tableLen / j.coreH)
 		res.Preemptions += j.sim.Preemptions * reps
 		res.ContextSwitches += j.sim.ContextSwitches * reps
-		if j.adoptFrom != nil {
-			need += len(j.adoptFrom.Allocs)
-		} else {
+		if j.adoptFrom == nil {
 			need += reps * len(j.sim.Slots)
 		}
 	}
@@ -64,16 +62,13 @@ func synthesizeCores(ws *workspace, tbl *table.Table, res *Result, pin *pinning,
 	ws.tiled = slices.Grow(ws.tiled, need)
 	for _, j := range ws.jobs {
 		ct := &tbl.Cores[j.core]
-		n := len(ws.tiled)
 		if j.adoptFrom != nil {
-			var ok bool
-			if ws.tiled, ok = renumberAllocs(ws.tiled, j.adoptFrom.Allocs, pin.renumber); ok {
-				ws.adopted[j.core] = true
-			}
+			ct.Allocs = j.adoptFrom.Allocs
+			ws.adopted[j.core] = true
+			continue
 		}
-		if !ws.adopted[j.core] {
-			ws.tiled = tileSlots(ws.tiled, j.sim.Slots, j.tasks, j.coreH, tableLen)
-		}
+		n := len(ws.tiled)
+		ws.tiled = tileSlots(ws.tiled, j.sim.Slots, j.tasks, ws.ids, j.coreH, tableLen)
 		ct.Allocs = ws.tiled[n:len(ws.tiled):len(ws.tiled)]
 	}
 	return nil

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"slices"
 	"sync"
 
 	"tableau/internal/periodic"
@@ -40,6 +39,7 @@ type workspace struct {
 
 	key []byte // the whole-plan cache key, then each simulated core's slice-memo key
 
+	ids         []int   // per spec: its vCPU id (ws.number)
 	dedicatedOf []int32 // per spec: its dedicated core, or -1
 	svc, period []int64 // per spec: guarantee aggregation
 	coreOf      []int32 // per vCPU: markSplit's first-seen core
@@ -50,7 +50,6 @@ type workspace struct {
 
 	// The incremental diff (pinFromPrev, seedPinned).
 	pin        pinning
-	cur        map[string]int   // current spec name -> index
 	renumber   []int32          // previous spec index -> current, or -1
 	pinnedSpec []bool           // per current spec: placement frozen
 	coreClean  []bool           // per core: every task belongs to a clean VM
@@ -62,15 +61,16 @@ type workspace struct {
 
 	// The final gate (gate.go). check is nil outside an Arena: a pooled
 	// or one-off workspace checks through table's own scratch.
-	check  *table.Checker
-	prevOf []int32           // per current spec: its previous index, or -1
-	gAt    []int32           // per previous spec: its previous guarantee's index, or -1
-	dirty  []bool            // per current spec: re-checked in full
-	gated  []table.Guarantee // the guarantees the delta form checks
+	check *table.Checker
+	gAt   []int32           // per previous vCPU id: its previous guarantee's index, or -1
+	dirty []bool            // per vCPU id: re-checked in full
+	gated []table.Guarantee // the guarantees the delta form checks
 
-	// verified is the last Result an Arena planned in this workspace, the
-	// one previous plan whose table the gate may trust.
-	verified *Result
+	// verified is the last Result an Arena planned in this workspace, and
+	// verifiedSpecs the specs it was planned from: the one previous plan
+	// whose table the gate may trust.
+	verified      *Result
+	verifiedSpecs []VCPUSpec
 }
 
 // A pool, not a per-host arena: a small host's workspace is a few KB, a
@@ -119,11 +119,10 @@ func putWorkspace(ws *workspace) {
 // use; an Arena is not safe for concurrent use.
 //
 // An Arena remembers the last Result it planned. A PlanIncremental whose
-// previous plan is that Result may skip re-verifying the cores it adopts
-// from it verbatim (finalGate).
+// previous plan is that Result, with the very specs slice it was planned
+// from, may skip re-verifying the cores it adopts from it (finalGate).
 type Arena struct {
-	ws      workspace
-	adopted []bool // the last plan's adoption bits, nil when it adopted no core
+	ws workspace
 }
 
 func (a *Arena) workspace() *workspace {
@@ -140,11 +139,7 @@ func (a *Arena) PlanIncremental(specs []VCPUSpec, opts Options, prev *PrevPlan) 
 	defer putWorkspace(ws)
 	res, err := planIncremental(ws, specs, opts, prev)
 	if err == nil {
-		ws.verified = res
-		a.adopted = a.adopted[:0]
-		if slices.Contains(ws.adopted, true) {
-			a.adopted = append(a.adopted, ws.adopted...)
-		}
+		ws.verified, ws.verifiedSpecs = res, specs
 	}
 	// Hold nothing of the plans themselves: the previous plan's table and
 	// the slice memo's simulations belong to their owners.
@@ -152,14 +147,6 @@ func (a *Arena) PlanIncremental(specs []VCPUSpec, opts Options, prev *PrevPlan) 
 	clear(ws.jobs[:cap(ws.jobs)])
 	return res, err
 }
-
-// Adopted reports, per planner core, whether the Result PlanIncremental
-// last returned kept that core's schedule from its previous plan
-// verbatim — its intervals, vCPU ids renamed to the current spec
-// order. It is empty when no core was adopted, and valid until the
-// arena plans again. The fact lives here rather than on the Result, so
-// that the scratch and cache plans that never adopt pay nothing for it.
-func (a *Arena) Adopted() []bool { return a.adopted }
 
 // Admit is the package-level Admit, checked in the arena.
 func (a *Arena) Admit(specs []VCPUSpec, cores int) error {
@@ -189,6 +176,24 @@ func filled[T any](buf []T, n int, v T) []T {
 		buf[i] = v
 	}
 	return buf
+}
+
+// trusts reports whether prev is the plan this workspace's Arena
+// verified last, named with the very specs it was planned from.
+func (ws *workspace) trusts(prev *PrevPlan) bool {
+	vs := ws.verifiedSpecs
+	return ws.verified != nil && prev.Res == ws.verified && len(prev.Specs) == len(vs) &&
+		(len(vs) == 0 || &prev.Specs[0] == &vs[0])
+}
+
+// number fills ws.ids with each spec's vCPU id.
+func (ws *workspace) number(specs []VCPUSpec) []int {
+	pos := positional(specs)
+	ws.ids = sized(ws.ids, len(specs))
+	for i, s := range specs {
+		ws.ids[i] = s.id(i, pos)
+	}
+	return ws.ids
 }
 
 // coreStates returns n reset core states.

@@ -229,8 +229,8 @@ func (c *Client) attempt(ctx context.Context, body []byte) (*table.Table, *PlanR
 // (assignable to core.PlanFunc, e.g. Controller.PlanVia): specs and
 // options go out as a PlanRequest, and the response — remote or
 // local-fallback — comes back as a *planner.Result carrying the decoded
-// table and guarantees. Only Table and Guarantees are populated; that
-// is the contract the control plane consumes.
+// table and guarantees, in the specs' IDs. Only Table and Guarantees are
+// populated; that is the contract the control plane consumes.
 func (c *Client) PlanFunc() func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
 	return func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
 		if len(opts.Affinity) > 0 {
@@ -248,6 +248,7 @@ func (c *Client) PlanFunc() func(specs []planner.VCPUSpec, opts planner.Options)
 		}
 		for _, sp := range specs {
 			req.VMs = append(req.VMs, VMRequest{
+				ID:            sp.ID,
 				Name:          sp.Name,
 				UtilNum:       sp.Util.Num,
 				UtilDen:       sp.Util.Den,

@@ -30,8 +30,11 @@ import (
 	"tableau/internal/table"
 )
 
-// VMRequest is one vCPU in a planning request.
+// VMRequest is one vCPU in a planning request. ID is its vCPU id in the
+// planned table (planner.VCPUSpec.ID): strictly increasing over the
+// request's VMs, or omitted throughout to number them by position.
 type VMRequest struct {
+	ID            int    `json:"id,omitempty"`
 	Name          string `json:"name"`
 	UtilNum       int64  `json:"util_num"`
 	UtilDen       int64  `json:"util_den"`
@@ -392,6 +395,7 @@ func (r PlanRequest) toPlannerInput() ([]planner.VCPUSpec, planner.Options, erro
 	specs := make([]planner.VCPUSpec, len(r.VMs))
 	for i, vm := range r.VMs {
 		specs[i] = planner.VCPUSpec{
+			ID:          vm.ID,
 			Name:        vm.Name,
 			Util:        planner.Util{Num: vm.UtilNum, Den: vm.UtilDen},
 			LatencyGoal: vm.LatencyGoalNS,

@@ -266,9 +266,9 @@ func sameCore(a, b *CoreTable) bool {
 }
 
 // sameBacking reports whether a and b are one list: the same length over
-// the same first element. A core the control plane carried over from the
-// previous epoch shares its allocation list, and tables are immutable, so
-// such a core needs no element-by-element comparison.
+// the same first element. A core the planner adopted from the previous
+// plan shares its allocation list with the previous epoch, and tables are
+// immutable, so such a core needs no element-by-element comparison.
 func sameBacking(a, b []Alloc) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
