@@ -45,7 +45,8 @@ race:
 	$(GO) test -race -count=3 ./internal/verify -run 'TestLiveFleetUnderOracle'
 
 # Short fuzz smoke over the untrusted-input surfaces (the binary table
-# and trace decoders) and the whole generate→run→oracle pipeline. The
+# and trace decoders), the whole generate→run→oracle pipeline, and the
+# planner's exact fraction sums against math/big. The
 # corpora are committed under each package's testdata/fuzz; long local
 # runs raise -fuzztime.
 fuzz:
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime 10s
 	$(GO) test ./internal/verify -run '^$$' -fuzz '^FuzzScenario$$' -fuzztime 10s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime 10s
+	$(GO) test ./internal/planner -run '^$$' -fuzz '^FuzzFracAdd$$' -fuzztime 10s
 
 # Bounded property-based verification: generator determinism, the
 # invariant oracles over generated scenarios (-short trims the seed
@@ -171,14 +173,18 @@ tenancy-short:
 # say the scratch really is reused: a warm small-host plan, the table
 # checkers, a mixed-shape Place+Depart pair, a warm dense flush, and the
 # per-core EDF simulation (jobs by value: its allocations grow with the
-# slices' log-growth, not with the jobs released).
+# slices' log-growth, not with the jobs released). Also the exact
+# arithmetic the flush's cheap paths rest on: one walk's home cores and
+# split marks equal two walks', the period shortcut equals the full
+# scan, equal utilizations plan alike, and Flush's per-op admission
+# returns the planner's verdict on a 2000-batch walk.
 plan-short:
-	$(GO) test ./internal/planner -run 'TestPlanDigests|TestSparseIDs|TestPlanRefusesUnorderedIDs|TestDeltaGate|TestSmallHostPlanAllocationCeiling'
+	$(GO) test ./internal/planner -run 'TestPlanDigests|TestSparseIDs|TestPlanRefusesUnorderedIDs|TestDeltaGate|TestSmallHostPlanAllocationCeiling|TestHomeAndSplit|TestPickPeriodShortcutMatchesScan|TestEqualUtilizationsPlanAlike|TestFrac'
 	$(GO) test ./internal/periodic -run 'TestSimulateEDFAllocatesPerSimulationNotPerJob'
 	$(GO) test -race -count=3 ./internal/planner -run 'TestPlanResultOwnsItsMemory|TestConcurrentPlanStress|TestCacheConcurrent'
 	$(GO) test ./internal/table -run 'TestCheckAndValidateAllocateNothing|TestValidateDelta|TestCheckSubset'
 	$(GO) test ./internal/fleet -run 'TestMixedPlaceDepartAllocationCeiling|TestSharedTablesStayImmutable'
-	$(GO) test ./internal/core -run 'TestCacheHitResultOwnsItsGuarantees|TestReconfigureInactiveSlotShedsNothing|TestCarriedCores|TestAdoptedCoresAreShared|TestRemotePlanOrFailedRemap|TestRemotePlanWithAnIDGap|TestBackendTableMustNameActiveSlots|TestDenseIncrementalFlushAllocationCeiling'
+	$(GO) test ./internal/core -run 'TestCacheHitResultOwnsItsGuarantees|TestReconfigureInactiveSlotShedsNothing|TestFlushRejectsEachInadmissibleOpAlone|TestLSActivationShedsYoungestBE|TestPerOpAdmissionMatchesPlanner|TestCarriedCores|TestAdoptedCoresAreShared|TestRemotePlanOrFailedRemap|TestRemotePlanWithAnIDGap|TestBackendTableMustNameActiveSlots|TestDenseIncrementalFlushAllocationCeiling'
 
 # Full micro-benchmark pass over the hot-path packages.
 bench:

@@ -408,7 +408,7 @@ func (c *Controller) ControllerStats() Stats {
 // returning the transition (nil when the queue was empty). The protocol:
 //
 //  1. snapshot the population;
-//  2. apply ops in arrival order, pre-checking utilization admission
+//  2. apply ops in arrival order, pre-checking admission (admitLocked)
 //     after each op that adds utilization to the active population — an
 //     inadmissible op is undone and rejected individually, the batch
 //     continues;
@@ -773,11 +773,11 @@ var shedClass = BE
 // (highest id first — the youngest arrivals) until the population
 // admits again. Each victim becomes a committed, journaled
 // OpDeactivate (Shed: true) in the installed epoch — never a silent
-// eviction. Shedding is gated on planner.AdmitLS: it only proceeds
-// when the LS guarantees alone are admissible, so an LS admission can
-// displace BE slack but never another LS guarantee. BE subjects never
-// shed anyone. Returns nil — with every victim restored — when
-// shedding cannot save the admission.
+// eviction. Shedding is gated on the LS-only admission check
+// (admitLocked(true)): it only proceeds when the LS guarantees alone are
+// admissible, so an LS admission can displace BE slack but never
+// another LS guarantee. BE subjects never shed anyone. Returns nil —
+// with every victim restored — when shedding cannot save the admission.
 func (c *Controller) shedForLocked(keep int) []Op {
 	s := c.sys
 	if keep < 0 || keep >= len(s.slots) || s.slots[keep].cfg.Class != LS {

@@ -73,6 +73,7 @@ type VMConfig struct {
 type slot struct {
 	cfg    VMConfig
 	active bool
+	shared bool // an earlier slot holds the same name (names never change)
 }
 
 // System models the host's VM population and produces scheduling
@@ -208,7 +209,8 @@ func (s *System) AddVM(cfg VMConfig) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.slots = append(s.slots, slot{cfg: cfg, active: true})
+	shared := slices.ContainsFunc(s.slots, func(o slot) bool { return o.cfg.Name == cfg.Name })
+	s.slots = append(s.slots, slot{cfg: cfg, active: true, shared: shared})
 	return len(s.slots) - 1, nil
 }
 
@@ -534,7 +536,7 @@ func (s *System) plan(specs []planner.VCPUSpec, opts planner.Options) (res *plan
 // incremental is what an Incremental System carries from one plan to
 // the next. prev is the last successful plan as the planner returned it,
 // the PlanIncremental input, once its remap has succeeded; arena is the
-// planner workspace the system's plans and admission checks run in.
+// planner workspace the system's plans run in.
 type incremental struct {
 	prev  *planner.PrevPlan
 	arena planner.Arena
@@ -547,24 +549,37 @@ func (s *System) incLocked() *incremental {
 	return s.inc
 }
 
-// admitLocked runs the planner's exact admission check — of the LS specs
-// only when lsOnly — for the active population on the surviving cores.
-func (s *System) admitLocked(lsOnly bool) error {
-	specs := s.activeSpecsLocked()
+// admitLocked returns the planner's admission verdict on the active
+// population — of its LS slots only when lsOnly — on the surviving
+// cores. Every slot's spec was validated when set, so it only sums in
+// place and compares the names of slots marked shared; the plan still
+// runs the planner's full admission.
+func (s *System) admitLocked(lsOnly bool) (err error) {
+	if onAdmit != nil {
+		defer func() { onAdmit(s, lsOnly, err) }()
+	}
 	cores := len(s.onlineCoresLocked())
 	if cores == 0 {
 		return fmt.Errorf("core: every core has failed")
 	}
-	switch {
-	case s.Incremental && lsOnly:
-		return s.incLocked().arena.AdmitLS(specs, cores)
-	case s.Incremental:
-		return s.incLocked().arena.Admit(specs, cores)
-	case lsOnly:
-		return planner.AdmitLS(specs, cores)
+	var total planner.UtilTotal
+	for id := range s.slots {
+		sl := &s.slots[id]
+		if !sl.active {
+			continue
+		}
+		if sl.shared && slices.ContainsFunc(s.slots[:id], func(o slot) bool { return o.active && o.cfg.Name == sl.cfg.Name }) {
+			return &planner.DuplicateNameError{Name: sl.cfg.Name}
+		}
+		if !lsOnly || sl.cfg.Class == LS {
+			total.Add(sl.cfg.Util)
+		}
 	}
-	return planner.Admit(specs, cores)
+	return total.Check(cores)
 }
+
+// onAdmit, when set (tests only), sees each admitLocked verdict as given.
+var onAdmit func(s *System, lsOnly bool, err error)
 
 // remapLocked places a planner table (vCPU ids = slot ids, core ids =
 // logical survivor order) on the physical cores: a VCPUs entry for every

@@ -7,14 +7,14 @@ import (
 )
 
 // frac is an exact non-negative rational for utilization accounting on
-// the planning hot path. Task utilizations are WCET/Period with periods
-// dividing the bounded hyperperiod, so per-core sums stay well inside
-// int64 after GCD reduction; arithmetic runs allocation-free with
-// 128-bit overflow guards, and a value that would overflow spills into
-// a math/big representation once and stays there. Both regimes are
+// the planning hot path, its numerator over the (unreduced) lcm of the
+// denominators added: periods divide the bounded hyperperiod, so most
+// adds find den a multiple of theirs and need no gcd. Arithmetic runs
+// allocation-free with 128-bit overflow guards; a value that would
+// overflow spills into math/big once and stays there. Both regimes are
 // exact — frac trades none of big.Rat's precision, only its mallocs.
 type frac struct {
-	num, den int64 // reduced, den > 0; meaningful iff spill == nil
+	num, den int64 // den > 0, a multiple of every den added; meaningful iff spill == nil
 	spill    *big.Rat
 }
 
@@ -33,23 +33,17 @@ func gcd64(a, b int64) int64 {
 // is correct for any rational.
 func (f *frac) add(num, den int64) {
 	if f.spill == nil && num >= 0 && den > 0 {
-		if g := gcd64(num, den); g > 1 {
-			num /= g
-			den /= g
+		da, db := f.den/den, int64(1)
+		if f.den%den != 0 {
+			g := gcd64(f.den, den)
+			da, db = f.den/g, den/g // lcm(f.den, den) = f.den * db
 		}
-		g := gcd64(f.den, den)
-		da, db := f.den/g, den/g // lcm(f.den, den) = f.den * db
 		hi1, lo1 := bits.Mul64(uint64(f.num), uint64(db))
 		hi2, lo2 := bits.Mul64(uint64(num), uint64(da))
 		hiD, loD := bits.Mul64(uint64(f.den), uint64(db))
 		sum, carry := bits.Add64(lo1, lo2, 0)
 		if hi1|hi2|hiD|carry == 0 && sum <= math.MaxInt64 && loD <= math.MaxInt64 {
-			n, d := int64(sum), int64(loD)
-			if g := gcd64(n, d); g > 1 {
-				n /= g
-				d /= g
-			}
-			f.num, f.den = n, d
+			f.num, f.den = int64(sum), int64(loD)
 			return
 		}
 	}

@@ -23,13 +23,14 @@ import (
 // PlanIncremental's, one from a remote planner, one this workspace did
 // not verify — gets the full gate, as does every scratch and cache plan.
 
-// onFinalGate, when set (tests only), sees every delta-form gate: the
-// table, its full guarantees, the cores known valid and the guarantees
-// the delta form re-checks.
+// onFinalGate, when set (tests only), sees every delta-form gate as it
+// runs: the table, its full guarantees, the cores known valid and the
+// guarantees the delta form re-checks.
 var onFinalGate func(tbl *table.Table, gs []table.Guarantee, known []bool, gated []table.Guarantee)
 
 // finalGate picks what the gate covers: known marks the cores Validate
-// need not re-walk (nil: every core) and gated is what Check verifies.
+// need not re-walk (nil: every core), gated (ws.dirty's) what Check
+// verifies. It reads only which vCPUs the cores not adopted hold.
 func finalGate(ws *workspace, tbl *table.Table, gs []table.Guarantee, pin *pinning) (known []bool, gated []table.Guarantee) {
 	if pin == nil || !pin.trusted || !slices.Contains(ws.adopted, true) {
 		return nil, gs
@@ -77,9 +78,6 @@ func finalGate(ws *workspace, tbl *table.Table, gs []table.Guarantee, pin *pinni
 		if dirty[g.VCPU] {
 			ws.gated = append(ws.gated, g)
 		}
-	}
-	if onFinalGate != nil {
-		onFinalGate(tbl, gs, ws.adopted, ws.gated)
 	}
 	return ws.adopted, ws.gated
 }

@@ -41,8 +41,9 @@ func (g *gateVerdicts) install() func() {
 // 16-core host: three slots change state per step inside the 168-192
 // band, every seventh step also reconfigures a resident VM, and step 25
 // fails a core — one fewer core for the planner, so nothing is pinned or
-// adopted there, and adoption resumes on the survivors after it.
-func denseWalk(t *testing.T, seed int64, steps int) {
+// adopted there, and adoption resumes on the survivors after it. each,
+// when set, sees every plan the walk makes.
+func denseWalk(t *testing.T, seed int64, steps int, each func(*Result)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	on := make([]bool, 192)
@@ -101,6 +102,9 @@ func denseWalk(t *testing.T, seed int64, steps int) {
 		if err != nil {
 			continue // the previous plan stands, as on a host
 		}
+		if each != nil {
+			each(res)
+		}
 		shared := 0
 		if prev != nil {
 			shared = sharedCores(prev.Res, res)
@@ -142,7 +146,7 @@ func TestDeltaGateMatchesFullCheck(t *testing.T) {
 	defer g.install()()
 	checkDigests(t, digestCases(true, false))
 	for seed := int64(1); seed <= 2; seed++ {
-		denseWalk(t, seed, 40)
+		denseWalk(t, seed, 40, nil)
 	}
 	t.Logf("%d delta gates, %d narrowed: %d guarantees skipped, %d re-checked", g.gates, g.narrowed, g.skipped, g.checked)
 	if g.narrowed < 100 || g.skipped < 4*g.checked {

@@ -9,6 +9,7 @@ package planner
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"tableau/internal/periodic"
@@ -83,16 +84,21 @@ func (u Util) Validate() error {
 func (u Util) IsFull() bool { return u.Num == u.Den }
 
 // PPM returns the utilization in parts-per-million, rounded up.
-func (u Util) PPM() int64 {
-	return (u.Num*1_000_000 + u.Den - 1) / u.Den
-}
+func (u Util) PPM() int64 { return ceilMulDiv(u.Num, 1_000_000, u.Den) }
 
 // Float returns the utilization as a float64 (reporting only).
 func (u Util) Float() float64 { return float64(u.Num) / float64(u.Den) }
 
 // Cost returns the execution budget ceil(u * period) in ns.
-func (u Util) Cost(period int64) int64 {
-	return (u.Num*period + u.Den - 1) / u.Den
+func (u Util) Cost(period int64) int64 { return ceilMulDiv(u.Num, period, u.Den) }
+
+// ceilMulDiv returns ceil(a*b/c) for a valid utilization's terms and a
+// period (0 <= a <= c, b >= 0), in 128 bits so that nothing overflows.
+func ceilMulDiv(a, b, c int64) int64 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	lo, carry := bits.Add64(lo, uint64(c-1), 0)
+	q, _ := bits.Div64(hi+carry, lo, uint64(c))
+	return int64(q)
 }
 
 // PickPeriod selects a candidate period T such that the worst-case
@@ -109,36 +115,39 @@ func (u Util) Cost(period int64) int64 {
 // candidate divides evenly, the largest in-bound candidate is used with
 // a rounded-up budget.
 //
-// The comparison is exact: 2*(1-U)*T <= L  <=>  2*(Den-Num)*T <= L*Den.
-// candidates must ascend, as CandidatePeriods returns them. ok is false
-// when even the smallest candidate period violates the goal, i.e. the
-// latency goal is too tight to be enforceable.
-func PickPeriod(u Util, latencyGoal int64, candidates []int64) (period int64, ok bool) {
-	if latencyGoal <= 0 {
+// Both tests are exact, on the reduced n/d so equal utilizations plan
+// alike: 2*(d-n)*T <= L*d in 128 bits, and an exact budget iff d | T.
+// cands must ascend, as CandidatePeriods returns them. ok is false for
+// an invalid u, or when even the smallest candidate violates the goal.
+func PickPeriod(u Util, latencyGoal int64, cands []int64) (period int64, ok bool) {
+	if latencyGoal <= 0 || u.Num <= 0 || u.Num > u.Den {
 		return 0, false
 	}
-	slack := 2 * (u.Den - u.Num) // per unit of T, scaled by Den
-	// Guard multiplication overflow: slack <= 2*Den <= 2e6 scale,
-	// t <= ~1e8, product <= ~2e14 — safe; latencyGoal*Den may be
-	// large but callers pass goals <= seconds (1e9) and Den <= 1e6,
-	// so <= 1e15 — safe.
-	bound := latencyGoal * u.Den
+	n, d := u.Num, u.Den
+	if g := gcd64(n, d); g > 1 {
+		n, d = n/g, d/g
+	}
 	// The candidates ascend, so those within the bound are a prefix.
-	inBound := sort.Search(len(candidates), func(i int) bool { return slack*candidates[i] > bound })
-	var fallback int64
+	inBound := sort.Search(len(cands), func(i int) bool {
+		hiL, loL := bits.Mul64(uint64(d-n), uint64(cands[i]))
+		hiL, loL = hiL<<1|loL>>63, loL<<1
+		hiR, loR := bits.Mul64(uint64(latencyGoal), uint64(d))
+		return hiL > hiR || hiL == hiR && loL > loR
+	})
+	if inBound == 0 {
+		return 0, false
+	}
+	// Every candidate of the planner's own list divides MaxHyperperiod,
+	// so none is a multiple of a d that does not: skip a scan that fails.
+	if MaxHyperperiod%d != 0 && &cands[0] == &candidates()[0] {
+		return cands[inBound-1], true
+	}
 	for i := inBound - 1; i >= 0; i-- {
-		t := candidates[i]
-		if (u.Num*t)%u.Den == 0 {
-			return t, true
-		}
-		if fallback == 0 {
-			fallback = t
+		if cands[i]%d == 0 {
+			return cands[i], true
 		}
 	}
-	if fallback != 0 {
-		return fallback, true
-	}
-	return 0, false
+	return cands[inBound-1], true
 }
 
 // TaskFor maps a vCPU specification to its periodic task (paper Sec. 5):

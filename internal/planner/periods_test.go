@@ -227,3 +227,99 @@ func TestAdmit(t *testing.T) {
 		t.Error("zero cores admitted")
 	}
 }
+
+// pickPeriodScan is PickPeriod as it was before the divisor shortcut and
+// the reduced, 128-bit arithmetic: a scan down the in-bound prefix for an
+// exact budget in plain int64. For the utilizations and goals its tests
+// draw no product overflows, so it is the reference the shortcut is
+// held to.
+func pickPeriodScan(u Util, latencyGoal int64, candidates []int64) (int64, bool) {
+	if latencyGoal <= 0 {
+		return 0, false
+	}
+	slack := 2 * (u.Den - u.Num)
+	bound := latencyGoal * u.Den
+	var fallback int64
+	for i := len(candidates) - 1; i >= 0; i-- {
+		t := candidates[i]
+		if slack*t > bound {
+			continue
+		}
+		if (u.Num*t)%u.Den == 0 {
+			return t, true
+		}
+		if fallback == 0 {
+			fallback = t
+		}
+	}
+	return fallback, fallback != 0
+}
+
+// TestPickPeriodShortcutMatchesScan: on the planner's own candidate list
+// (the divisor shortcut) and on a caller's copy of it (the scan),
+// PickPeriod picks what the full scan picks, for every denominator up to
+// 4096, a sample of numerators, and goals from 100 µs to 1 s.
+func TestPickPeriodShortcutMatchesScan(t *testing.T) {
+	own, copied := candidates(), CandidatePeriods()
+	var goals []int64
+	for g := int64(100_000); g <= 1_000_000_000; g = g * 3 / 2 {
+		goals = append(goals, g)
+	}
+	shortcut := 0
+	for den := int64(1); den <= 4096; den++ {
+		for _, num := range []int64{1, den / 3, den / 2, den - 1, den} {
+			if num < 1 {
+				continue
+			}
+			u := Util{num, den}
+			for _, g := range goals {
+				want, wantOK := pickPeriodScan(u, g, copied)
+				for _, cands := range [][]int64{own, copied} {
+					if got, ok := PickPeriod(u, g, cands); got != want || ok != wantOK {
+						t.Fatalf("PickPeriod(%d/%d, %d) = %d, %v; the scan picks %d, %v", num, den, g, got, ok, want, wantOK)
+					}
+				}
+				if MaxHyperperiod%(den/gcd64(num, den)) != 0 {
+					shortcut++
+				}
+			}
+		}
+	}
+	if shortcut == 0 {
+		t.Error("no case took the divisor shortcut")
+	}
+}
+
+// TestEqualUtilizationsPlanAlike: k·u picks the period and budget u
+// does, for k up to 2^30 and every goal of a grid — the products that
+// overflowed int64 once made equal utilizations plan differently — and
+// the two such specs that were refused or mis-planned now plan.
+func TestEqualUtilizationsPlanAlike(t *testing.T) {
+	cands := CandidatePeriods()
+	utils := []Util{{1, 2}, {1, 3}, {1, 16}, {1, 64}, {3, 8}, {999, 1000}, {1, 1009}, {185_000, 1_000_000}, {1, 1}}
+	goals := []int64{100_000, 1_000_000, 5_000_000, 10_000_000, 20_000_000, 100_000_000, 1_000_000_000}
+	for _, u := range utils {
+		for _, k := range []int64{1, 2, 3, 7, 1 << 10, 1<<20 + 1, 1<<30 - 1, 1 << 30} {
+			ku := Util{k * u.Num, k * u.Den}
+			if got, want := ku.PPM(), u.PPM(); got != want {
+				t.Errorf("%d·%v: PPM %d, want %d", k, u, got, want)
+			}
+			for _, g := range goals {
+				p, ok := PickPeriod(u, g, cands)
+				kp, kok := PickPeriod(ku, g, cands)
+				if kp != p || kok != ok {
+					t.Fatalf("%d·%v at goal %d: period %d, %v; %v picks %d, %v", k, u, g, kp, kok, u, p, ok)
+				}
+				if ok && ku.Cost(p) != u.Cost(p) {
+					t.Fatalf("%d·%v: budget %d over %d, %v's is %d", k, u, ku.Cost(p), p, u, u.Cost(p))
+				}
+			}
+		}
+	}
+	for _, u := range []Util{{1 << 39, 1 << 40}, {3, 1 << 45}} {
+		spec := VCPUSpec{Name: "v", Util: u, LatencyGoal: 10_000_000}
+		if _, err := Plan([]VCPUSpec{spec}, Options{Cores: 1}); err != nil {
+			t.Errorf("%v at a 10 ms goal: %v", u, err)
+		}
+	}
+}

@@ -151,7 +151,7 @@ func Plan(specs []VCPUSpec, opts Options) (*Result, error) {
 // exactly sized, and shares nothing with ws once planWith returns.
 func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 	opts = opts.withDefaults()
-	if err := admit(ws, specs, opts.Cores, false); err != nil {
+	if err := admit(ws, specs, opts.Cores); err != nil {
 		return nil, err
 	}
 	ids := ws.number(specs)
@@ -394,11 +394,19 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 
 	res.Guarantees = guaranteesFor(ws, specs, ids, cores, clusterTasks, tableLen)
 
+	// The gate's scope, split marks and home cores are settled before
+	// coalescing, which changes none of them (see homeAndSplit).
+	known, gated := finalGate(ws, tbl, res.Guarantees, pin)
+	var prevTbl *table.Table
+	if known != nil {
+		prevTbl = pin.prevTable
+	}
+	splitVCPU := homeAndSplit(ws, tbl, prevTbl)
+
 	// Post-processing: coalesce unenforceable slivers, honoring the
 	// service guarantees. Coalescing never lengthens a list, so sizing
 	// final for what it will be fed keeps every core's window in one
 	// backing.
-	splitVCPU := markSplit(ws, tbl)
 	toCoalesce := 0
 	for ci := range tbl.Cores {
 		if !adopted[ci] {
@@ -428,15 +436,9 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 		}
 	}
 
-	// Home cores: the core where the vCPU has the most reserved time
-	// (the "trailing core" policy uses last-allocation cores at runtime;
-	// the static home seeds second-level membership).
-	assignHomeCores(ws, tbl)
-	for v := range tbl.VCPUs {
-		tbl.VCPUs[v].Split = splitVCPU[v]
+	if onFinalGate != nil && known != nil {
+		onFinalGate(tbl, res.Guarantees, known, gated)
 	}
-
-	known, gated := finalGate(ws, tbl, res.Guarantees, pin)
 	if err := ws.validate(tbl, known); err != nil {
 		return nil, fmt.Errorf("planner: generated table failed validation: %w", err)
 	}
@@ -573,52 +575,61 @@ func guaranteesFor(ws *workspace, specs []VCPUSpec, ids []int, cores []*coreStat
 	return gs
 }
 
-// markSplit returns, per vCPU index, whether it holds reservations on
-// more than one core.
-func markSplit(ws *workspace, tbl *table.Table) []bool {
-	ws.coreOf = filled(ws.coreOf, len(tbl.VCPUs), -1)
-	ws.split = sized(ws.split, len(tbl.VCPUs))
-	coreOf, split := ws.coreOf, ws.split
-	for _, ct := range tbl.Cores {
-		for _, a := range ct.Allocs {
-			if a.VCPU == table.Idle {
-				continue
-			}
-			switch coreOf[a.VCPU] {
-			case -1:
-				coreOf[a.VCPU] = int32(ct.Core)
-			case int32(ct.Core):
-			default:
-				split[a.VCPU] = true
-			}
+// homeAndSplit marks each vCPU split when it holds reservations on more
+// than one core and sets its HomeCore to the core holding its largest
+// total reservation (first core wins ties), returning the split marks.
+// Coalescing and the peephole pass move only unsplit vCPUs' time, within
+// their one core, so this runs before them. prev, when set, is the
+// previous table of the gate's delta form: a vCPU it left clean keeps
+// prev's answers, its allocations being prev's, and only cores not
+// adopted are walked — unless a dirty vCPU may hold time on an adopted
+// core (split in prev, or homed on a core now adopted).
+func homeAndSplit(ws *workspace, tbl *table.Table, prev *table.Table) []bool {
+	n := len(tbl.VCPUs)
+	ws.coreOf = filled(ws.coreOf, n, -1)
+	ws.split = sized(ws.split, n)
+	ws.onCore, ws.best = sized(ws.onCore, n), sized(ws.best, n)
+	coreOf, split, onCore, best, dirty := ws.coreOf, ws.split, ws.onCore, ws.best, ws.dirty
+	full := prev == nil
+	for v := 0; !full && v < n && v < len(prev.VCPUs); v++ {
+		if dirty[v] {
+			pv := &prev.VCPUs[v]
+			full = pv.Split || pv.HomeCore >= 0 && ws.adopted[pv.HomeCore]
 		}
 	}
-	return split
-}
-
-// assignHomeCores sets each vCPU's HomeCore to the core holding its
-// largest total reservation (first core wins ties); vCPUs with no
-// reservation keep HomeCore -1 unless already set (dedicated).
-func assignHomeCores(ws *workspace, tbl *table.Table) {
-	nc := len(tbl.Cores)
-	ws.home = sized(ws.home, len(tbl.VCPUs)*nc)
-	service := ws.home
-	for _, ct := range tbl.Cores {
+	// settle closes v's total on the core it was last seen on.
+	settle := func(v int) {
+		if onCore[v] > best[v] {
+			best[v] = onCore[v]
+			tbl.VCPUs[v].HomeCore = int(coreOf[v])
+		}
+	}
+	for ci, ct := range tbl.Cores {
+		if !full && ws.adopted[ci] {
+			continue
+		}
 		for _, a := range ct.Allocs {
-			if a.VCPU != table.Idle {
-				service[a.VCPU*nc+ct.Core] += a.Len()
+			v := a.VCPU
+			if v == table.Idle {
+				continue
 			}
+			if c := coreOf[v]; c != int32(ct.Core) {
+				if c >= 0 {
+					split[v] = true
+					settle(v)
+				}
+				coreOf[v], onCore[v] = int32(ct.Core), 0
+			}
+			onCore[v] += a.Len()
 		}
 	}
 	for v := range tbl.VCPUs {
-		bestCore, bestSvc := -1, int64(0)
-		for c, s := range service[v*nc : (v+1)*nc] {
-			if s > bestSvc {
-				bestCore, bestSvc = c, s
-			}
+		if !full && !dirty[v] {
+			tbl.VCPUs[v].HomeCore, split[v] = prev.VCPUs[v].HomeCore, prev.VCPUs[v].Split
+		} else if coreOf[v] >= 0 {
+			settle(v)
 		}
-		if bestCore >= 0 {
-			tbl.VCPUs[v].HomeCore = bestCore
-		}
+		tbl.VCPUs[v].Split = split[v]
 	}
+	return split
 }

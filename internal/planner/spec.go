@@ -59,6 +59,13 @@ type VCPUSpec struct {
 
 // Validate checks a single vCPU spec.
 func (s VCPUSpec) Validate() error {
+	if s.Name != "" && s.Util.Num > 0 && s.Util.Num <= s.Util.Den && s.LatencyGoal > 0 {
+		return nil // inlined: admission validates every spec of every plan
+	}
+	return s.invalid()
+}
+
+func (s VCPUSpec) invalid() error {
 	if s.Name == "" {
 		return fmt.Errorf("planner: vCPU with empty name")
 	}
@@ -217,28 +224,13 @@ func (e *ErrOverUtilized) Error() string {
 func Admit(specs []VCPUSpec, cores int) error {
 	ws := getWorkspace(len(specs))
 	defer putWorkspace(ws)
-	return admit(ws, specs, cores, false)
+	return admit(ws, specs, cores)
 }
 
-// AdmitLS checks admission over the latency-sensitive subpopulation
-// only: sum(U of LS specs) <= Cores. This is the gate that decides
-// whether an overloaded host may save an LS admission by shedding BE
-// guests — the LS guarantees alone must fit, so no LS guest is ever
-// displaced to make room for another. BE specs are validated but do
-// not count against capacity here.
-func AdmitLS(specs []VCPUSpec, cores int) error {
-	ws := getWorkspace(len(specs))
-	defer putWorkspace(ws)
-	return admit(ws, specs, cores, true)
-}
-
-// admit is the one admission check: every spec valid, names distinct,
-// IDs increasing, and the summed utilization — of the LS specs only when
-// lsOnly — within the core count.
-func admit(ws *workspace, specs []VCPUSpec, cores int, lsOnly bool) error {
-	if cores <= 0 {
-		return fmt.Errorf("planner: non-positive core count %d", cores)
-	}
+// admit is the one admission check of a whole population: every spec
+// valid, names distinct, IDs increasing, and the summed utilization
+// within the core count.
+func admit(ws *workspace, specs []VCPUSpec, cores int) error {
 	if err := checkIDs(specs); err != nil {
 		return err
 	}
@@ -247,22 +239,52 @@ func admit(ws *workspace, specs []VCPUSpec, cores int, lsOnly bool) error {
 	}
 	seen := ws.seen
 	defer clear(seen) // the keys would pin the caller's names
-	total := zeroFrac()
+	var total UtilTotal
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
 			return err
 		}
-		if _, dup := seen[s.Name]; dup {
-			return fmt.Errorf("planner: duplicate vCPU name %q", s.Name)
+		n := len(seen)
+		if seen[s.Name] = struct{}{}; len(seen) == n {
+			return &DuplicateNameError{Name: s.Name}
 		}
-		seen[s.Name] = struct{}{}
-		if lsOnly && s.Class != LS {
-			continue
-		}
-		total.add(s.Util.Num, s.Util.Den)
+		total.Add(s.Util)
 	}
-	if total.cmpInt(int64(cores)) > 0 {
-		return &ErrOverUtilized{Total: total.rat(), Cores: cores}
+	return total.Check(cores)
+}
+
+// DuplicateNameError is admission's refusal of a population in which
+// two vCPUs share a name.
+type DuplicateNameError struct {
+	Name string
+}
+
+func (e *DuplicateNameError) Error() string {
+	return fmt.Sprintf("planner: duplicate vCPU name %q", e.Name)
+}
+
+// UtilTotal is admission's exact sum of valid utilizations, for a caller
+// whose specs are known valid and distinct. The zero value is 0.
+type UtilTotal struct {
+	sum frac
+}
+
+// Add adds a valid utilization to the sum.
+func (t *UtilTotal) Add(u Util) {
+	if t.sum.den == 0 {
+		t.sum = zeroFrac()
+	}
+	t.sum.add(u.Num, u.Den)
+}
+
+// Check refuses a non-positive core count, and a sum past cores with an
+// *ErrOverUtilized.
+func (t *UtilTotal) Check(cores int) error {
+	if cores <= 0 {
+		return fmt.Errorf("planner: non-positive core count %d", cores)
+	}
+	if t.sum.den != 0 && t.sum.cmpInt(int64(cores)) > 0 {
+		return &ErrOverUtilized{Total: t.sum.rat(), Cores: cores}
 	}
 	return nil
 }

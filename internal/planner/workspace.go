@@ -42,9 +42,10 @@ type workspace struct {
 	ids         []int   // per spec: its vCPU id (ws.number)
 	dedicatedOf []int32 // per spec: its dedicated core, or -1
 	svc, period []int64 // per spec: guarantee aggregation
-	coreOf      []int32 // per vCPU: markSplit's first-seen core
+	coreOf      []int32 // per vCPU: the core homeAndSplit last saw it on
 	split       []bool  // per vCPU: reservations on more than one core
-	home        []int64 // vcpu*cores+core: reserved time, for home cores
+	onCore      []int64 // per vCPU: its reserved time on coreOf
+	best        []int64 // per vCPU: its largest per-core reserved time so far
 
 	seen map[string]struct{} // admission's duplicate-name check
 
@@ -111,8 +112,8 @@ func putWorkspace(ws *workspace) {
 	}
 }
 
-// Arena is a planning workspace its owner keeps: a dense host plans and
-// admits in one for as long as the host lives, where each plan of more
+// Arena is a planning workspace its owner keeps: a dense host plans in
+// one for as long as the host lives, where each plan of more
 // than maxPooledSpecs specs would otherwise build its scratch afresh.
 // Being the owner's, its memory is in the live heap exactly while the
 // owner is, whenever the collector last ran. The zero value is ready to
@@ -146,16 +147,6 @@ func (a *Arena) PlanIncremental(specs []VCPUSpec, opts Options, prev *PrevPlan) 
 	ws.pin = pinning{}
 	clear(ws.jobs[:cap(ws.jobs)])
 	return res, err
-}
-
-// Admit is the package-level Admit, checked in the arena.
-func (a *Arena) Admit(specs []VCPUSpec, cores int) error {
-	return admit(a.workspace(), specs, cores, false)
-}
-
-// AdmitLS is the package-level AdmitLS, checked in the arena.
-func (a *Arena) AdmitLS(specs []VCPUSpec, cores int) error {
-	return admit(a.workspace(), specs, cores, true)
 }
 
 // sized returns buf resliced to n zeroed elements, reallocating only

@@ -43,7 +43,7 @@ func scribble(ws *workspace) {
 	for i := range ids {
 		ids[i] = -7
 	}
-	for _, buf := range [][]int64{ws.svc, ws.period, ws.home} {
+	for _, buf := range [][]int64{ws.svc, ws.period, ws.onCore, ws.best} {
 		buf = buf[:cap(buf)]
 		for i := range buf {
 			buf[i] = -7
