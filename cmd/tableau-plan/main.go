@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	tableau-plan -config vms.json [-out table.bin] [-dump] [-peephole] [-compensate-ppm N]
+//	tableau-plan -config vms.json [-out table.bin] [-dump] [-peephole]
 //	tableau-plan -decode table.bin
 //
 // Config format:
@@ -68,7 +68,6 @@ func main() {
 	outPath := flag.String("out", "", "write the binary scheduling table here")
 	dump := flag.Bool("dump", false, "print every allocation of the generated table")
 	peephole := flag.Bool("peephole", false, "enable the context-switch reduction pass")
-	compensatePPM := flag.Int64("compensate-ppm", 0, "extra utilization (ppm) granted to C=D-split vCPUs")
 	decodePath := flag.String("decode", "", "decode and summarize a binary table instead of planning")
 	flag.Parse()
 	if *decodePath != "" {
@@ -103,11 +102,7 @@ func main() {
 		})
 	}
 
-	res, err := planner.Plan(specs, planner.Options{
-		Cores:                cfg.Cores,
-		Peephole:             *peephole,
-		SplitCompensationPPM: *compensatePPM,
-	})
+	res, err := planner.Plan(specs, planner.Options{Cores: cfg.Cores, Peephole: *peephole})
 	if err != nil {
 		fatal(err)
 	}

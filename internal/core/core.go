@@ -88,8 +88,8 @@ type slot struct {
 // suffix assume it is held. Plan holds mu for the whole planning step,
 // so concurrent control-plane calls serialize into one planner
 // invocation at a time — the serialized replan pipeline Controller
-// builds on. Cache has its own lock and RotateSplits/Cache are
-// configuration set before first use, so neither needs mu.
+// builds on. Cache has its own lock and is configuration set before
+// first use, so it needs no mu.
 type System struct {
 	mu sync.Mutex
 
@@ -103,12 +103,6 @@ type System struct {
 	// population on the survivors only, leaving the dead cores' table
 	// entries empty (see MarkCoreFailed / EmergencyReplan).
 	failed []bool
-
-	// RotateSplits advances the planner's split rotation on every Plan,
-	// so that when the population forces C=D splitting, the migration
-	// penalty is taken in turns instead of pinned to one vCPU (the
-	// paper's Sec. 7.5 "all vCPUs take a turn being split").
-	RotateSplits bool
 
 	// Cache, when set, memoizes planning by exact (specs, options)
 	// input — the paper's Sec. 7.1 central table cache for commonly
@@ -402,7 +396,7 @@ func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) 
 	if len(specs) == 0 {
 		return nil, nil, fmt.Errorf("core: no active VMs to plan for")
 	}
-	opts, err := s.planOptsLocked(specs)
+	opts, err := s.planOptsLocked()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -446,64 +440,17 @@ func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) 
 	return tbl, &out, nil
 }
 
-// affinityForLocked narrows the configured physical-core affinity sets
-// onto the current topology, renumbering to the planner's logical
-// survivor ids. An active VM whose entire affinity set has failed is a
-// planning error: silently placing it on a non-affine survivor would
-// violate the placement constraint the affinity encoded. Inactive or
-// unknown names whose sets empty out are dropped instead (an empty set
-// means "unrestricted" to the planner, which would be the opposite of
-// what was asked).
-func (s *System) affinityForLocked(specs []planner.VCPUSpec, online []int) (map[string][]int, error) {
-	logical := make(map[int]int, len(online))
-	for l, phys := range online {
-		logical[phys] = l
-	}
-	planned := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		planned[sp.Name] = true
-	}
-	out := make(map[string][]int, len(s.plannerOpts.Affinity))
-	for name, cores := range s.plannerOpts.Affinity {
-		var allowed []int
-		for _, c := range cores {
-			if l, ok := logical[c]; ok {
-				allowed = append(allowed, l)
-			}
-		}
-		if len(allowed) == 0 {
-			if planned[name] {
-				return nil, fmt.Errorf("core: affinity of %q unsatisfiable: every allowed core of %v has failed", name, cores)
-			}
-			continue
-		}
-		out[name] = allowed
-	}
-	return out, nil
-}
-
 // planOptsLocked derives the options one planning attempt should use:
-// the configured options adjusted for split rotation, the surviving
-// topology (the planner's admission check is the gate that decides
-// whether a degraded host can still carry the reserved utilization),
-// affinity narrowing, and the cache's slice memo.
-func (s *System) planOptsLocked(specs []planner.VCPUSpec) (planner.Options, error) {
+// the configured options on the surviving topology (the planner's
+// admission check is the gate that decides whether a degraded host can
+// still carry the reserved utilization), with the cache's slice memo.
+func (s *System) planOptsLocked() (planner.Options, error) {
 	opts := s.plannerOpts
-	if s.RotateSplits {
-		opts.SplitRotation = int(s.generation)
-	}
 	online := s.onlineCoresLocked()
 	if len(online) == 0 {
 		return opts, fmt.Errorf("core: every core has failed")
 	}
 	opts.Cores = len(online)
-	if len(opts.Affinity) > 0 {
-		aff, err := s.affinityForLocked(specs, online)
-		if err != nil {
-			return opts, err
-		}
-		opts.Affinity = aff
-	}
 	if s.Cache != nil {
 		opts.Slices = s.Cache.SliceCache()
 	}
@@ -634,7 +581,7 @@ func (s *System) remapLocked(in *table.Table, trusted bool) (*table.Table, error
 		if err := out.Validate(); err != nil {
 			return nil, fmt.Errorf("core: remapped table invalid: %w", err)
 		}
-		if err := out.CheckSliceBound(s.plannerOpts.MaxSlicesPerCore); err != nil {
+		if err := out.CheckSliceBound(); err != nil {
 			return nil, err
 		}
 	}

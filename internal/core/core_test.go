@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"tableau/internal/dispatch"
@@ -178,38 +177,6 @@ func TestPushToIncompatibleDispatcherFails(t *testing.T) {
 	bad := &table.Table{Len: tbl.Len, VCPUs: make([]table.VCPUInfo, 5)}
 	if err := d.PushTable(bad); err == nil {
 		t.Error("incompatible table accepted")
-	}
-}
-
-func TestRotateSplitsTakesTurns(t *testing.T) {
-	// Four equal 0.6 VMs on 3 cores: someone must be split each plan.
-	// With rotation enabled, successive replans split different VMs.
-	s := NewSystem(3, planner.Options{}, dispatch.Options{})
-	s.RotateSplits = true
-	for i := 0; i < 4; i++ {
-		if _, err := s.AddVM(VMConfig{
-			Name:        fmt.Sprintf("v%d", i),
-			Util:        Util{Num: 3, Den: 5},
-			LatencyGoal: 50_000_000,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	victims := make(map[int]bool)
-	for round := 0; round < 4; round++ {
-		_, res, err := s.Plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Splits) == 0 {
-			t.Fatalf("round %d: no split", round)
-		}
-		for _, sp := range res.Splits {
-			victims[sp.VCPU] = true
-		}
-	}
-	if len(victims) < 2 {
-		t.Errorf("rotation did not move the split burden: victims = %v", victims)
 	}
 }
 

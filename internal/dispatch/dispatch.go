@@ -24,10 +24,6 @@ type Options struct {
 	// replenishment divides Epoch evenly among the core's ready
 	// second-level vCPUs. Default 10 ms.
 	Epoch int64
-	// DisableSecondLevel turns the second-level scheduler off, yielding
-	// the naive (non-work-conserving) table-driven scheduler. Used by
-	// the capped scenarios and by ablation experiments.
-	DisableSecondLevel bool
 }
 
 func (o Options) withDefaults() Options {
@@ -349,22 +345,20 @@ func (d *Dispatcher) PickNext(cpu *vmm.PCPU, now int64) vmm.Decision {
 	}
 
 	// Level 2: core-local fair share over the idle (or forfeited) time.
-	if !d.opts.DisableSecondLevel {
-		if v, budget := d.pickSecondLevel(cpu, now); v != nil {
-			cs.l2Running = v.ID
-			cs.l2Since = now
-			d.owner[v.ID] = c
-			d.stats.SecondLevelDispatches++
-			d.stats.PerVCPUSecond[v.ID]++
-			if d.tr != nil {
-				d.tr.Emit(trace.EvL2Pick, c, now, v.ID, budget, 0)
-			}
-			end := now + budget
-			if until < end {
-				end = until
-			}
-			return vmm.Decision{VCPU: v, Until: end}
+	if v, budget := d.pickSecondLevel(cpu, now); v != nil {
+		cs.l2Running = v.ID
+		cs.l2Since = now
+		d.owner[v.ID] = c
+		d.stats.SecondLevelDispatches++
+		d.stats.PerVCPUSecond[v.ID]++
+		if d.tr != nil {
+			d.tr.Emit(trace.EvL2Pick, c, now, v.ID, budget, 0)
 		}
+		end := now + budget
+		if until < end {
+			end = until
+		}
+		return vmm.Decision{VCPU: v, Until: end}
 	}
 	d.stats.IdleDecisions++
 	return vmm.Decision{Until: until}

@@ -112,20 +112,6 @@ func TestSecondLevelFairShare(t *testing.T) {
 	}
 }
 
-func TestDisableSecondLevelIsNonWorkConserving(t *testing.T) {
-	tbl := buildTable(t, 100_000, []table.VCPUInfo{
-		{Name: "a", HomeCore: 0},
-	}, [][]table.Alloc{{al(0, 25_000, 0)}})
-	d := New(tbl, Options{DisableSecondLevel: true})
-	m := vmm.New(sim.New(1), 1, d, vmm.NoOverheads())
-	a := m.AddVCPU("a", spin(), 256, false)
-	m.Start()
-	m.Run(1_000_000)
-	if a.RunTime != 250_000 {
-		t.Errorf("a.RunTime = %d, want table-only 250000", a.RunTime)
-	}
-}
-
 func TestWakeupLatencyBoundedByTable(t *testing.T) {
 	// A capped vCPU reserved [0, 10µs) of every 100 µs cycle. Pings
 	// arrive at random; the response latency must never exceed the

@@ -170,13 +170,6 @@ func (ts TaskSet) SortByUtilDesc() {
 	})
 }
 
-// SortByUtilStable sorts by decreasing utilization preserving the
-// existing order among equal-utilization tasks (used by the planner's
-// split-rotation, which pre-rotates the slice).
-func (ts TaskSet) SortByUtilStable() {
-	slices.SortStableFunc(ts, cmpUtilDesc)
-}
-
 // cmpUtilDesc orders a before b when a's utilization is larger:
 // Ua > Ub  <=>  Ca*Tb > Cb*Ta (all positive).
 func cmpUtilDesc(a, b Task) int {

@@ -2,8 +2,6 @@ package planner
 
 import (
 	"container/list"
-	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -82,43 +80,22 @@ func (c *Cache) SliceCache() *SliceCache { return c.slices }
 // CacheKey returns the canonical key for a planning input. Spec order
 // matters (worst-fit tie-breaking is order-sensitive), so no sorting is
 // applied, and so do the vCPU ids the table is written in. Every Options
-// field that influences placement is part of the key — including
-// Affinity, which encodes the caller's view of the machine topology:
-// core.System narrows affinity sets to the surviving cores after a
-// fail-stop, so two plans before and after a topology change must never
-// collide on one cached table. Slices is deliberately
-// excluded: a memo hit returns what a fresh simulation would, so it
-// cannot change the produced table.
+// field is part of the key but Slices: a memo hit returns what a fresh
+// simulation would, so it cannot change the produced table.
 func CacheKey(specs []VCPUSpec, opts Options) string {
 	return string(appendCacheKey(make([]byte, 0, 64+32*len(specs)), specs, opts))
 }
 
 // appendCacheKey appends the canonical key to buf. It is on the replan
 // hot path (every flush of a cached system builds one): strconv appends
-// into one buffer, fmt only for the rare affinity section.
+// into one buffer.
 func appendCacheKey(buf []byte, specs []VCPUSpec, opts Options) []byte {
-	opts = opts.withDefaults()
 	buf = strconv.AppendInt(append(buf, 'c'), int64(opts.Cores), 10)
 	buf = strconv.AppendInt(append(buf, ";t"...), opts.TableLength, 10)
-	buf = strconv.AppendInt(append(buf, ";q"...), opts.CoalesceThreshold, 10)
-	buf = strconv.AppendInt(append(buf, ";s"...), int64(opts.MaxSlicesPerCore), 10)
 	buf = strconv.AppendBool(append(buf, ";ds"...), opts.DisableSplitting)
 	buf = strconv.AppendBool(append(buf, ";dc"...), opts.DisableClustering)
 	buf = strconv.AppendBool(append(buf, ";ph"...), opts.Peephole)
-	buf = strconv.AppendInt(append(buf, ";sc"...), opts.SplitCompensationPPM, 10)
-	buf = strconv.AppendInt(append(buf, ";sr"...), int64(opts.SplitRotation), 10)
 	buf = append(buf, '|')
-	if len(opts.Affinity) > 0 {
-		names := make([]string, 0, len(opts.Affinity))
-		for name := range opts.Affinity {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			buf = fmt.Appendf(buf, "a%s:%v;", name, opts.Affinity[name])
-		}
-		buf = append(buf, '|')
-	}
 	pos, prev := positional(specs), -1
 	for i, s := range specs {
 		buf = append(buf, s.Name...)

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,17 +52,41 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	}
 }
 
+// optionVariants returns, for each field of Options by reflection, base
+// with that one field changed. A field of a kind it cannot vary fails
+// the test: a new option must be taught here, and so reaches the cache
+// key and pin checks that walk these variants.
+func optionVariants(t *testing.T, base Options) map[string]Options {
+	t.Helper()
+	out := make(map[string]Options)
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		o := base
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch {
+		case f.Type() == reflect.TypeOf((*SliceCache)(nil)):
+			f.Set(reflect.ValueOf(NewSliceCache(0)))
+		case f.Kind() == reflect.Int || f.Kind() == reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case f.Kind() == reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("Options.%s: no variant for a %s field", typ.Field(i).Name, f.Type())
+		}
+		out[typ.Field(i).Name] = o
+	}
+	return out
+}
+
 func TestCacheKeySensitivity(t *testing.T) {
 	specs := cacheSpecs(4, 20_000_000)
 	base := CacheKey(specs, Options{Cores: 2})
-	if CacheKey(specs, Options{Cores: 3}) == base {
-		t.Error("core count not in key")
-	}
-	if CacheKey(specs, Options{Cores: 2, Peephole: true}) == base {
-		t.Error("peephole flag not in key")
-	}
-	if CacheKey(specs, Options{Cores: 2, SplitRotation: 1}) == base {
-		t.Error("rotation not in key")
+	// Every option but the slice memo, which cannot change a table,
+	// must reach the key.
+	for name, opts := range optionVariants(t, Options{Cores: 2}) {
+		if changed := CacheKey(specs, opts) != base; changed != (name != "Slices") {
+			t.Errorf("Options.%s changes the cache key: %v", name, changed)
+		}
 	}
 	reordered := append([]VCPUSpec(nil), specs...)
 	reordered[0], reordered[1] = reordered[1], reordered[0]

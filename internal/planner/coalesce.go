@@ -4,6 +4,12 @@ import (
 	"tableau/internal/table"
 )
 
+// coalesceThreshold is the shortest reservation, in ns, the planner
+// leaves in a table: a shorter one is merged into a neighbor, since
+// context-switch overheads dominate it and it cannot be enforced. It is
+// also the smallest piece C=D splitting cuts.
+const coalesceThreshold = 10_000
+
 // mergeContiguous merges adjacent allocations of the same vCPU whose
 // intervals touch. The input must be sorted and non-overlapping; the
 // result is too.

@@ -245,16 +245,14 @@ func eachDigestCase(viaArena, sparse bool, add func(name string, res *Result, er
 		}
 		plan(fmt.Sprintf("dense16/%d", seed), denseSpecs(on), Options{Cores: 16})
 	}
-	// Populations that defeat partitioning: C=D splits, split
-	// compensation, rotation, and (splitting disabled) the cluster stage.
+	// Populations that defeat partitioning: C=D splits and (splitting
+	// disabled) the cluster stage.
 	for seed := 0; seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(2000 + int64(seed)))
 		cores := 2 + seed%3
 		specs := tightSpecs(rng, cores)
 		plan(fmt.Sprintf("split/%d", seed), specs, Options{Cores: cores})
 		if seed < 20 {
-			plan(fmt.Sprintf("splitcomp/%d", seed), specs, Options{Cores: cores, SplitCompensationPPM: 30_000})
-			plan(fmt.Sprintf("rotation/%d", seed), specs, Options{Cores: cores, SplitRotation: 1 + seed})
 			plan(fmt.Sprintf("cluster/%d", seed), specs, Options{Cores: cores, DisableSplitting: true})
 		}
 	}
@@ -268,23 +266,6 @@ func eachDigestCase(viaArena, sparse bool, add func(name string, res *Result, er
 			specs = append(specs[:at], append([]VCPUSpec{full}, specs[at:]...)...)
 		}
 		plan(fmt.Sprintf("dedicated/%d", seed), specs, Options{Cores: 4 + seed%5})
-	}
-	// Affinity sets of one to three cores on some guests.
-	for seed := 0; seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(4000 + int64(seed)))
-		specs := fleetHostSpecs(rng, 6+seed%7)
-		aff := make(map[string][]int)
-		for k := 0; k < 1+seed%4; k++ {
-			aff[specs[1+rng.Intn(len(specs)-1)].Name] = rng.Perm(8)[:1+rng.Intn(3)]
-		}
-		plan(fmt.Sprintf("affinity/%d", seed), specs, Options{Cores: 8, Affinity: aff})
-	}
-	// Affinity on a host that has to split: the pieces stay in the set.
-	for seed := 0; seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(4500 + int64(seed)))
-		specs := tightSpecs(rng, 4)
-		aff := map[string][]int{specs[rng.Intn(len(specs))].Name: rng.Perm(4)[:2+rng.Intn(2)]}
-		plan(fmt.Sprintf("affinity-tight/%d", seed), specs, Options{Cores: 4, Affinity: aff})
 	}
 	// The peephole pass, on two crowded cores so it has patterns to find.
 	for seed := 0; seed < 20; seed++ {

@@ -106,11 +106,8 @@ func planIncremental(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPl
 //   - dedicated (U=1) and cluster-scheduled cores are never pinned:
 //     dedicated placement is trivial to recompute, and DP-Fair slots
 //     are a joint product of the whole cluster;
-//   - every Options field that influences placement must match
-//     (SplitRotation excepted: it only biases the ordering of the
-//     re-placed remainder); affinity disables pinning outright, since
-//     System renumbers affinity sets onto surviving cores and a pin
-//     would bypass that narrowing.
+//   - every Options field but Slices, which cannot change a table, must
+//     match.
 func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 	if prev == nil || prev.Res == nil || len(prev.Res.CoreTasks) == 0 {
 		return nil
@@ -118,18 +115,9 @@ func pinFromPrev(ws *workspace, specs []VCPUSpec, opts Options, prev *PrevPlan) 
 	if prev.Res.Stage == StageClustered {
 		return nil
 	}
-	po, co := prev.Opts.withDefaults(), opts.withDefaults()
-	if po.Cores != co.Cores ||
-		po.CoalesceThreshold != co.CoalesceThreshold ||
-		po.MaxSlicesPerCore != co.MaxSlicesPerCore ||
-		po.TableLength != co.TableLength ||
-		po.DisableSplitting != co.DisableSplitting ||
-		po.DisableClustering != co.DisableClustering ||
-		po.Peephole != co.Peephole ||
-		po.SplitCompensationPPM != co.SplitCompensationPPM {
-		return nil
-	}
-	if len(po.Affinity) > 0 || len(co.Affinity) > 0 {
+	po, co := prev.Opts, opts
+	po.Slices, co.Slices = nil, nil
+	if po != co {
 		return nil
 	}
 	if len(prev.Res.CoreTasks) != co.Cores {

@@ -177,6 +177,16 @@ func TestIncrementalFallsBackToScratch(t *testing.T) {
 	if res.Incremental || res.PinnedCores != 0 {
 		t.Errorf("topology change must disable pinning: incremental=%v pinned=%d", res.Incremental, res.PinnedCores)
 	}
+	// Every option but the slice memo, which cannot change a table,
+	// must refuse the pin when it differs from the previous plan's.
+	if pinFromPrev(new(workspace), base, opts, prev) == nil {
+		t.Fatal("an unchanged input is not pinned")
+	}
+	for name, o := range optionVariants(t, opts) {
+		if pinned := pinFromPrev(new(workspace), base, o, prev) != nil; pinned != (name == "Slices") {
+			t.Errorf("Options.%s differing from the previous plan's: pinned = %v", name, pinned)
+		}
+	}
 	res, err = PlanIncremental(base, opts, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package planner
 
-import (
-	"slices"
-
-	"tableau/internal/periodic"
-)
+import "tableau/internal/periodic"
 
 // coreState tracks one physical core's task assignment during planning.
 type coreState struct {
@@ -51,29 +47,15 @@ func (c *coreState) add(tk periodic.Task) {
 // each placed on the least-utilized core that can accept it. This
 // spreads load evenly across cores. It returns the tasks that could not
 // be placed on any core (a window into the workspace).
-//
-// A non-zero rotation is applied to the ordering of equal-utilization
-// tasks: advancing it on every replan lets the population take turns
-// bearing the risk of being the task that ends up C=D-split (paper
-// Sec. 7.5). allow restricts vCPUs with an affinity set to their cores
-// (nil: unrestricted).
-func partitionWFD(ws *workspace, cores []*coreState, tasks periodic.TaskSet, rotation int, allow map[int][]int) (unplaced periodic.TaskSet) {
-	n := len(tasks)
-	order := ws.order[:0]
-	if rotation != 0 && n > 0 {
-		r := ((rotation % n) + n) % n
-		order = append(append(order, tasks[r:]...), tasks[:r]...)
-		order.SortByUtilStable()
-	} else {
-		order = append(order, tasks...)
-		order.SortByUtilDesc()
-	}
+func partitionWFD(ws *workspace, cores []*coreState, tasks periodic.TaskSet) (unplaced periodic.TaskSet) {
+	order := append(ws.order[:0], tasks...)
+	order.SortByUtilDesc()
 	ws.order = order
 	// The unplaced are kept in place, at the front of order: by the time
 	// slot k is overwritten, task k has been read.
 	unplaced = order[:0]
 	for _, tk := range order {
-		if c := leastUtilizedFit(cores, tk, allow[tk.Group]); c != nil {
+		if c := leastUtilizedFit(cores, tk); c != nil {
 			c.add(tk)
 		} else {
 			unplaced = append(unplaced, tk)
@@ -83,17 +65,16 @@ func partitionWFD(ws *workspace, cores []*coreState, tasks periodic.TaskSet, rot
 }
 
 // leastUtilizedFit returns the least-utilized core on which tk fits, or
-// nil; ties are broken by core id for determinism. permitted, when
-// non-empty, restricts the choice to those core ids. Candidates are
-// tried in increasing (utilization, id) order without sorting: each
-// round scans for the smallest key above the last one refused, so the
-// common case — the emptiest core fits — is one pass and no scratch.
-func leastUtilizedFit(cores []*coreState, tk periodic.Task, permitted []int) *coreState {
+// nil; ties are broken by core id for determinism. Candidates are tried
+// in increasing (utilization, id) order without sorting: each round
+// scans for the smallest key above the last one refused, so the common
+// case — the emptiest core fits — is one pass and no scratch.
+func leastUtilizedFit(cores []*coreState, tk periodic.Task) *coreState {
 	var refused *coreState
 	for {
 		var best *coreState
 		for _, c := range cores {
-			if c.dedicated || (len(permitted) > 0 && !slices.Contains(permitted, c.id)) {
+			if c.dedicated {
 				continue
 			}
 			if refused != nil && !emptierThan(refused, c) {

@@ -21,7 +21,7 @@ func TestPartitionWFDSpreadsLoad(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tasks = append(tasks, implicitTask(string(rune('a'+i)), 25, 100))
 	}
-	unplaced := partitionWFD(new(workspace), cores, tasks, 0, nil)
+	unplaced := partitionWFD(new(workspace), cores, tasks)
 	if len(unplaced) != 0 {
 		t.Fatalf("unplaced = %v", unplaced)
 	}
@@ -40,7 +40,7 @@ func TestPartitionWFDRespectsCapacity(t *testing.T) {
 		implicitTask("b", 60, 100),
 		implicitTask("c", 60, 100),
 	}
-	unplaced := partitionWFD(new(workspace), cores, tasks, 0, nil)
+	unplaced := partitionWFD(new(workspace), cores, tasks)
 	if len(unplaced) != 1 {
 		t.Fatalf("unplaced = %v, want exactly one", unplaced)
 	}
@@ -55,7 +55,7 @@ func TestPartitionWFDSkipsDedicated(t *testing.T) {
 	cores := newCoreStates(2)
 	cores[0].dedicated = true
 	tasks := periodic.TaskSet{implicitTask("a", 50, 100)}
-	if unplaced := partitionWFD(new(workspace), cores, tasks, 0, nil); len(unplaced) != 0 {
+	if unplaced := partitionWFD(new(workspace), cores, tasks); len(unplaced) != 0 {
 		t.Fatalf("unplaced = %v", unplaced)
 	}
 	if len(cores[0].tasks) != 0 {

@@ -176,46 +176,3 @@ func TestPlanWithPeepholeStillVerifies(t *testing.T) {
 	}
 	t.Logf("peephole improved %d/20 random workloads", improved)
 }
-
-func TestPlanSplitCompensation(t *testing.T) {
-	// Four 0.6 tasks on 3 cores force a split; with compensation the
-	// split vCPU's guaranteed service strictly exceeds its reservation.
-	mk := func(comp int64) *Result {
-		var specs []VCPUSpec
-		for i := 0; i < 4; i++ {
-			specs = append(specs, VCPUSpec{
-				Name:        fmt.Sprintf("v%d", i),
-				Util:        Util{Num: 3, Den: 5},
-				LatencyGoal: 50_000_000,
-			})
-		}
-		res, err := Plan(specs, Options{Cores: 3, SplitCompensationPPM: comp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := mk(0)
-	comp := mk(30_000)
-	if plain.Stage != StageSemiPartitioned || comp.Stage != StageSemiPartitioned {
-		t.Fatalf("stages = %v, %v", plain.Stage, comp.Stage)
-	}
-	if len(plain.Splits) == 0 || len(comp.Splits) == 0 {
-		t.Fatal("no splits recorded")
-	}
-	splitVM := comp.Splits[0].VCPU
-	var plainSvc, compSvc int64
-	for _, g := range plain.Guarantees {
-		if g.VCPU == plain.Splits[0].VCPU {
-			plainSvc = g.Service
-		}
-	}
-	for _, g := range comp.Guarantees {
-		if g.VCPU == splitVM {
-			compSvc = g.Service
-		}
-	}
-	if compSvc <= plainSvc {
-		t.Errorf("compensated split service %d not above plain %d", compSvc, plainSvc)
-	}
-}

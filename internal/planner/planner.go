@@ -150,33 +150,10 @@ func Plan(specs []VCPUSpec, opts Options) (*Result, error) {
 // Every intermediate lives in ws; the Result's memory is allocated here,
 // exactly sized, and shares nothing with ws once planWith returns.
 func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
-	opts = opts.withDefaults()
 	if err := admit(ws, specs, opts.Cores); err != nil {
 		return nil, err
 	}
 	ids := ws.number(specs)
-	if len(opts.Affinity) > 0 {
-		if err := affineUtilBound(specs, opts.Affinity); err != nil {
-			return nil, err
-		}
-		for name, cores := range opts.Affinity {
-			for _, c := range cores {
-				if c < 0 || c >= opts.Cores {
-					return nil, fmt.Errorf("planner: affinity of %q names core %d outside 0..%d", name, c, opts.Cores-1)
-				}
-			}
-		}
-	}
-	// allow maps spec index (task Group) to allowed cores.
-	var allow map[int][]int
-	if len(opts.Affinity) > 0 {
-		allow = make(map[int][]int)
-		for i, s := range specs {
-			if cores, ok := opts.Affinity[s.Name]; ok && len(cores) > 0 {
-				allow[i] = cores
-			}
-		}
-	}
 	res := &Result{Stage: StagePartitioned}
 	cores := ws.coreStates(opts.Cores)
 
@@ -213,7 +190,7 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	}
 
 	// Stage 1: partitioning.
-	unplaced := partitionWFD(ws, cores, tasks, opts.SplitRotation, allow)
+	unplaced := partitionWFD(ws, cores, tasks)
 
 	// Stage 2: C=D semi-partitioning.
 	if len(unplaced) > 0 && !opts.DisableSplitting {
@@ -221,21 +198,7 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 		unplaced.SortByUtilDesc()
 		still := unplaced[:0]
 		for _, tk := range unplaced {
-			// Sec. 7.5: compensate a split vCPU for its migration
-			// overhead with a few extra percentage points of
-			// utilization, if the compensated split still fits.
-			pieces, ok := periodic.TaskSet(nil), false
-			if opts.SplitCompensationPPM > 0 {
-				comp := tk
-				extra := tk.Period * opts.SplitCompensationPPM / 1_000_000
-				if tk.WCET+extra <= tk.Period {
-					comp.WCET += extra
-					pieces, ok = splitCDAffine(cores, comp, opts.CoalesceThreshold, allow)
-				}
-			}
-			if !ok {
-				pieces, ok = splitCDAffine(cores, tk, opts.CoalesceThreshold, allow)
-			}
+			pieces, ok := splitCD(cores, tk, coalesceThreshold)
 			if !ok {
 				still = append(still, tk)
 				continue
@@ -257,11 +220,6 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	if len(unplaced) > 0 {
 		if opts.DisableClustering {
 			return nil, fmt.Errorf("planner: %d vCPUs unplaceable and clustering disabled", len(unplaced))
-		}
-		for _, tk := range unplaced {
-			if _, affine := allow[tk.Group]; affine {
-				return nil, fmt.Errorf("planner: affine vCPU %q cannot be placed on its allowed cores", tk.Name)
-			}
 		}
 		var err error
 		clusterCores, clusterTasks, err = growCluster(cores, unplaced)
@@ -420,7 +378,7 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 		}
 		ct := &tbl.Cores[ci]
 		n := len(ws.final)
-		ws.final = coalesceCore(ws.final, ct.Allocs, opts.CoalesceThreshold, tableLen,
+		ws.final = coalesceCore(ws.final, ct.Allocs, coalesceThreshold, tableLen,
 			func(v int) bool { return !splitVCPU[v] })
 		ct.Allocs = ws.final[n:len(ws.final):len(ws.final)]
 	}
@@ -444,7 +402,7 @@ func planWith(ws *workspace, specs []VCPUSpec, opts Options, pin *pinning) (*Res
 	}
 	// The dispatcher indexes the table when it installs it; refuse here a
 	// table whose index would outgrow the bound.
-	if err := tbl.CheckSliceBound(opts.MaxSlicesPerCore); err != nil {
+	if err := tbl.CheckSliceBound(); err != nil {
 		return nil, err
 	}
 	if err := ws.checkGuarantees(tbl, gated); err != nil {

@@ -130,21 +130,11 @@ func checkIDs(specs []VCPUSpec) error {
 	return nil
 }
 
-// Options configures a planning run. The zero value selects the defaults
-// documented on each field; Cores must always be set.
+// Options configures a planning run. Cores must always be set; every
+// other field's zero value plans as the paper's planner does.
 type Options struct {
 	// Cores is the number of physical cores available to guest vCPUs.
 	Cores int
-
-	// CoalesceThreshold merges reservations shorter than this many ns
-	// into a neighbor during post-processing; such slivers cannot be
-	// enforced because context-switch overheads dominate. Default 10 µs.
-	CoalesceThreshold int64
-
-	// MaxSlicesPerCore bounds the slice index an installer builds per
-	// core: a table that would need more is refused. Default 4 Mi
-	// entries.
-	MaxSlicesPerCore int
 
 	// TableLength, when non-zero, forces the generated table to cover
 	// this length (it must be a multiple of every chosen period; the
@@ -168,42 +158,12 @@ type Options struct {
 	// core evaluation does not use it.
 	Peephole bool
 
-	// SplitCompensationPPM inflates the utilization of a vCPU that ends
-	// up C=D-split by this many parts-per-million before splitting, the
-	// paper's Sec. 7.5 suggestion for compensating split vCPUs for
-	// their extra migration overhead. For example, 30_000 grants a
-	// split vCPU an extra 3% of a core.
-	SplitCompensationPPM int64
-
-	// Affinity restricts named vCPUs to subsets of cores (the paper's
-	// Sec. 5 NUMA/cache placement hook): map from vCPU name to allowed
-	// core ids. vCPUs absent from the map are unrestricted. Affine
-	// vCPUs are honored by partitioning and C=D splitting; a workload
-	// whose affine vCPUs cannot be placed without the cluster stage is
-	// rejected with a descriptive error.
-	Affinity map[string][]int
-
-	// SplitRotation rotates placement tie-breaking among equal-
-	// utilization vCPUs, implementing the paper's other Sec. 7.5
-	// suggestion: regenerate the table periodically with an advancing
-	// rotation so the migration penalty of being split is taken in
-	// turns rather than borne by one unlucky vCPU. core.System advances
-	// it on every replan when rotation is enabled.
-	SplitRotation int
-
 	// Slices, when set, memoizes per-core EDF simulations across plans
 	// keyed by the core's ordered task parameters (see SliceCache). A
 	// hit returns the identical simulation a fresh run would produce,
 	// so tables stay byte-identical with or without the cache; excluded
 	// from CacheKey.
 	Slices *SliceCache
-}
-
-func (o Options) withDefaults() Options {
-	if o.CoalesceThreshold == 0 {
-		o.CoalesceThreshold = 10_000
-	}
-	return o
 }
 
 // ErrOverUtilized is returned when the sum of reserved utilizations

@@ -24,24 +24,6 @@ import (
 // On success the subtasks are added to the chosen cores and returned;
 // the operation is atomic — on failure no core state is modified.
 func splitCD(cores []*coreState, tk periodic.Task, minChunk int64) ([]periodic.Task, bool) {
-	return splitCDAffine(cores, tk, minChunk, nil)
-}
-
-// splitCDAffine is splitCD restricted to the task's allowed cores.
-func splitCDAffine(cores []*coreState, tk periodic.Task, minChunk int64, allow map[int][]int) ([]periodic.Task, bool) {
-	if permitted, ok := allow[tk.Group]; ok && len(permitted) > 0 {
-		var restricted []*coreState
-		for _, c := range cores {
-			if allowedOn(allow, tk.Group, c.id) {
-				restricted = append(restricted, c)
-			}
-		}
-		cores = restricted
-	}
-	return splitCDImpl(cores, tk, minChunk)
-}
-
-func splitCDImpl(cores []*coreState, tk periodic.Task, minChunk int64) ([]periodic.Task, bool) {
 	if minChunk <= 0 {
 		minChunk = 1
 	}

@@ -233,18 +233,10 @@ func (c *Client) attempt(ctx context.Context, body []byte) (*table.Table, *PlanR
 // populated; that is the contract the control plane consumes.
 func (c *Client) PlanFunc() func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
 	return func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
-		if len(opts.Affinity) > 0 {
-			// The wire format cannot express affinity sets; shipping the
-			// request without them would silently drop a placement
-			// constraint. Plan on-host instead.
-			return planner.Plan(specs, opts)
-		}
 		req := PlanRequest{
-			Cores:                opts.Cores,
-			TableLengthNS:        opts.TableLength,
-			Peephole:             opts.Peephole,
-			SplitCompensationPPM: opts.SplitCompensationPPM,
-			SplitRotation:        opts.SplitRotation,
+			Cores:         opts.Cores,
+			TableLengthNS: opts.TableLength,
+			Peephole:      opts.Peephole,
 		}
 		for _, sp := range specs {
 			req.VMs = append(req.VMs, VMRequest{

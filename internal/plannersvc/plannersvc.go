@@ -42,14 +42,14 @@ type VMRequest struct {
 	Capped        bool   `json:"capped"`
 }
 
-// PlanRequest is the body of POST /plan.
+// PlanRequest is the body of POST /plan. The daemon refuses a body
+// naming a field PlanRequest does not have: planning without an option
+// the caller asked for would hand back a table that silently lacks it.
 type PlanRequest struct {
-	Cores                int         `json:"cores"`
-	TableLengthNS        int64       `json:"table_length_ns,omitempty"`
-	Peephole             bool        `json:"peephole,omitempty"`
-	SplitCompensationPPM int64       `json:"split_compensation_ppm,omitempty"`
-	SplitRotation        int         `json:"split_rotation,omitempty"`
-	VMs                  []VMRequest `json:"vms"`
+	Cores         int         `json:"cores"`
+	TableLengthNS int64       `json:"table_length_ns,omitempty"`
+	Peephole      bool        `json:"peephole,omitempty"`
+	VMs           []VMRequest `json:"vms"`
 }
 
 // GuaranteeInfo mirrors table.Guarantee for the wire.
@@ -297,7 +297,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&req)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = fmt.Errorf("data after the request")
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -403,11 +409,9 @@ func (r PlanRequest) toPlannerInput() ([]planner.VCPUSpec, planner.Options, erro
 		}
 	}
 	opts := planner.Options{
-		Cores:                r.Cores,
-		TableLength:          r.TableLengthNS,
-		Peephole:             r.Peephole,
-		SplitCompensationPPM: r.SplitCompensationPPM,
-		SplitRotation:        r.SplitRotation,
+		Cores:       r.Cores,
+		TableLength: r.TableLengthNS,
+		Peephole:    r.Peephole,
 	}
 	return specs, opts, nil
 }

@@ -119,6 +119,46 @@ func TestHandlerRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestHandlerRejectsUnknownFields: a body naming a field PlanRequest
+// does not have, such as an option the planner lacks, is refused with a
+// 400 naming it, never planned without it.
+func TestHandlerRejectsUnknownFields(t *testing.T) {
+	_, ts := newTestServer(t)
+	good, err := json.Marshal(testRequest(4, 20_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withField := func(field string) string {
+		return `{"` + field + `": 1, ` + string(good[1:])
+	}
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		names      string // in the error text
+	}{
+		{"known fields", string(good), http.StatusOK, ""},
+		{"split compensation", withField("split_compensation_ppm"), http.StatusBadRequest, `"split_compensation_ppm"`},
+		{"split rotation", withField("split_rotation"), http.StatusBadRequest, `"split_rotation"`},
+		{"VM field", strings.Replace(string(good), `"capped"`, `"affinity":[0],"capped"`, 1), http.StatusBadRequest, `"affinity"`},
+		{"data after the request", string(good) + `{}`, http.StatusBadRequest, "data after the request"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var e errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.code || !strings.Contains(e.Error, tc.names) {
+				t.Errorf("status %d, error %q; want %d naming %s", resp.StatusCode, e.Error, tc.code, tc.names)
+			}
+		})
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")

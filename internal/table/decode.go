@@ -311,5 +311,5 @@ func checked(t *Table, c *Checker, valid, bounded []bool) error {
 	if err := c.ValidateDelta(t, valid); err != nil {
 		return fmt.Errorf("table: decoded table invalid: %w", err)
 	}
-	return t.checkSliceBound(0, bounded)
+	return t.checkSliceBound(bounded)
 }

@@ -166,7 +166,7 @@ func DecodeReference(r io.Reader) (*Table, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("table: decoded table invalid: %w", err)
 	}
-	if err := t.CheckSliceBound(0); err != nil {
+	if err := t.CheckSliceBound(); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -24,8 +24,11 @@ type coreIndex struct {
 	entries  []int32 // one per slice of sliceLen ns
 }
 
-// defaultMaxSlices is the per-core slice bound a zero maxSlices selects.
-const defaultMaxSlices = 4 << 20
+// MaxSlicesPerCore bounds the slice index an installer builds per core:
+// a table that would need more entries on some core is refused by the
+// planner that generates it, by core.System's remap of a planning
+// backend's table, and by the decoder.
+const MaxSlicesPerCore = 4 << 20
 
 // shortestAlloc returns the length of the shortest allocation in as, 0
 // for an empty list.
@@ -53,27 +56,23 @@ func coreSlices(as []Alloc, tlen int64) (sliceLen, n int64) {
 }
 
 // CheckSliceBound reports an error naming the first core whose index
-// would need more than maxSlices entries (pass 0 for the default of
-// 4 Mi entries per core): the guard against a short allocation in a
-// long table blowing up the installer's memory. It is arithmetic and
-// allocates nothing.
-func (t *Table) CheckSliceBound(maxSlices int) error {
-	return t.checkSliceBound(maxSlices, nil)
+// would need more than MaxSlicesPerCore entries: the guard against a
+// short allocation in a long table blowing up the installer's memory. It
+// is arithmetic and allocates nothing.
+func (t *Table) CheckSliceBound() error {
+	return t.checkSliceBound(nil)
 }
 
 // checkSliceBound is CheckSliceBound over the cores skip does not mark.
-func (t *Table) checkSliceBound(maxSlices int, skip []bool) error {
-	if maxSlices <= 0 {
-		maxSlices = defaultMaxSlices
-	}
+func (t *Table) checkSliceBound(skip []bool) error {
 	for i := range t.Cores {
 		ct := &t.Cores[i]
 		if skip != nil && skip[i] {
 			continue
 		}
-		if shortest, n := coreSlices(ct.Allocs, t.Len); n > int64(maxSlices) {
+		if shortest, n := coreSlices(ct.Allocs, t.Len); n > MaxSlicesPerCore {
 			return fmt.Errorf("table: core %d would need %d slices (> %d); shortest allocation %d ns too small for table length %d",
-				ct.Core, n, maxSlices, shortest, t.Len)
+				ct.Core, n, MaxSlicesPerCore, shortest, t.Len)
 		}
 	}
 	return nil

@@ -213,16 +213,18 @@ func TestLookupMatchesNaive(t *testing.T) {
 }
 
 func TestSliceBoundGuard(t *testing.T) {
-	// A 1-ns allocation in a long table would explode the slice count.
-	tbl := &Table{Len: 1 << 30, VCPUs: make([]VCPUInfo, 1),
+	// A 1-ns allocation needs one slice per ns of the table: a table one
+	// ns longer than the bound would explode the slice count.
+	tbl := &Table{Len: MaxSlicesPerCore + 1, VCPUs: make([]VCPUInfo, 1),
 		Cores: []CoreTable{{Allocs: []Alloc{{0, 1, 0}}}}}
-	if err := tbl.CheckSliceBound(1000); err == nil {
+	if err := tbl.CheckSliceBound(); err == nil {
 		t.Error("expected slice-count guard to trip")
 	}
-	if err := tbl.CheckSliceBound(1 << 30); err != nil {
-		t.Errorf("a table within the bound was refused: %v", err)
+	tbl.Len = MaxSlicesPerCore
+	if err := tbl.CheckSliceBound(); err != nil {
+		t.Errorf("a table at the bound was refused: %v", err)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = tbl.CheckSliceBound(1 << 30) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { _ = tbl.CheckSliceBound() }); allocs != 0 {
 		t.Errorf("CheckSliceBound allocates %.0f objects on a table within the bound, want 0", allocs)
 	}
 }
